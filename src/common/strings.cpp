@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -43,16 +44,26 @@ std::vector<std::string> split(std::string_view s, char sep) {
   return out;
 }
 
-std::int64_t parse_i64(std::string_view s) {
-  std::int64_t value = 0;
-  const char* first = s.data();
+template <std::integral T>
+T parse_int(std::string_view s) {
+  T value{};
   const char* last = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(first, last, value);
+  const auto [ptr, ec] = std::from_chars(s.data(), last, value);
   if (ec != std::errc{} || ptr != last || s.empty()) {
-    throw ParseError("not an integer: '" + std::string(s) + "'");
+    throw ParseError("not an integer in [" +
+                     std::to_string(std::numeric_limits<T>::min()) + ", " +
+                     std::to_string(std::numeric_limits<T>::max()) +
+                     "]: '" + std::string(s) + "'");
   }
   return value;
 }
+
+template int parse_int<int>(std::string_view);
+template unsigned parse_int<unsigned>(std::string_view);
+template long parse_int<long>(std::string_view);
+template unsigned long parse_int<unsigned long>(std::string_view);
+template long long parse_int<long long>(std::string_view);
+template unsigned long long parse_int<unsigned long long>(std::string_view);
 
 double parse_double(std::string_view s) {
   double value = 0.0;

@@ -3,7 +3,7 @@
 // text so trace-ingestion errors are actionable.
 #pragma once
 
-#include <cstdint>
+#include <concepts>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,9 +19,13 @@ std::string to_lower(std::string_view s);
 /// Splits on `sep`; keeps empty fields ("a,,b" -> {"a", "", "b"}).
 std::vector<std::string> split(std::string_view s, char sep);
 
-/// Parses a signed 64-bit integer; the whole string must be consumed.
-/// Throws ParseError otherwise.
-std::int64_t parse_i64(std::string_view s);
+/// Parses a base-10 integer straight into T: the whole string must be
+/// consumed and the value must fit T (no sign for unsigned T). Throws
+/// ParseError otherwise, so callers parse to the type they store instead
+/// of narrowing a wider parse. Instantiated for the standard signed and
+/// unsigned integer types from int up.
+template <std::integral T>
+T parse_int(std::string_view s);
 
 /// Parses a finite double; the whole string must be consumed.
 /// Throws ParseError otherwise.

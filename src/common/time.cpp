@@ -11,9 +11,10 @@ namespace hpcfail {
 
 std::int64_t days_from_civil(int y, int m, int d) noexcept {
   // Howard Hinnant, "chrono-Compatible Low-Level Date Algorithms".
-  y -= m <= 2;
-  const std::int64_t era = (y >= 0 ? y : y - 399) / 400;
-  const unsigned yoe = static_cast<unsigned>(y - era * 400);           // [0,399]
+  // Widened first: y - 1 would overflow int at y == INT_MIN.
+  const std::int64_t yy = std::int64_t{y} - (m <= 2);
+  const std::int64_t era = (yy >= 0 ? yy : yy - 399) / 400;
+  const unsigned yoe = static_cast<unsigned>(yy - era * 400);          // [0,399]
   const unsigned doy =
       (153u * static_cast<unsigned>(m + (m > 2 ? -3 : 9)) + 2u) / 5u +
       static_cast<unsigned>(d) - 1u;                                   // [0,365]

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -594,15 +595,20 @@ std::string Server::handle_request(const std::string& target, int& status) {
         status = 400;
         return "{\"error\":\"missing required parameter 'system'\"}";
       }
-      const int system_id = static_cast<int>(parse_i64(system_text));
+      const int system_id = parse_int<int>(system_text);
       Seconds window = options_.window_seconds;
       const std::string hours = query_param(target, "window_hours");
       if (!hours.empty()) {
-        window = static_cast<Seconds>(parse_double(hours) *
-                                      static_cast<double>(kSecondsPerHour));
+        const double window_s =
+            parse_double(hours) * static_cast<double>(kSecondsPerHour);
+        // 2^63 is exact in a double; at or past it the cast is undefined.
+        if (std::fabs(window_s) >= 0x1p63) {
+          throw ParseError("window_hours out of range: '" + hours + "'");
+        }
+        window = static_cast<Seconds>(window_s);
       }
       const std::string seconds = query_param(target, "window_seconds");
-      if (!seconds.empty()) window = parse_i64(seconds);
+      if (!seconds.empty()) window = parse_int<Seconds>(seconds);
       if (window <= 0) {
         status = 400;
         return "{\"error\":\"window must be positive\"}";

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -14,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 
@@ -432,35 +432,61 @@ class RunEngine {
   std::deque<QueuedRepair> repair_queue_;
 };
 
-/// %.17g — the shortest format that round-trips every finite double.
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
-
-double parse_double(const std::string& token, const std::string& path) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(token, &used);
-    if (used != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
-    throw ParseError("campaign checkpoint " + path + ": bad number '" +
-                     token + "'");
+/// The body of load_campaign_checkpoint; its ParseErrors name the
+/// problem, the caller adds the file.
+CampaignCheckpoint read_checkpoint(std::istream& in) {
+  std::string line;
+  if (!std::getline(in, line) || line != "hpcfail-campaign-checkpoint v1") {
+    throw ParseError("bad header");
   }
-}
-
-std::uint64_t parse_u64(const std::string& token, const std::string& path) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(token, &used);
-    if (used != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
-    throw ParseError("campaign checkpoint " + path + ": bad integer '" +
-                     token + "'");
+  const auto expect_field = [&](const char* key) {
+    if (!std::getline(in, line)) throw ParseError("truncated");
+    std::istringstream fields(line);
+    std::string name, value, extra;
+    if (!(fields >> name >> value) || name != key || (fields >> extra)) {
+      throw ParseError(std::string("expected '") + key + "' line");
+    }
+    return value;
+  };
+  CampaignCheckpoint checkpoint;
+  checkpoint.fingerprint =
+      parse_int<std::uint64_t>(expect_field("fingerprint"));
+  checkpoint.total_runs = parse_int<std::size_t>(expect_field("total_runs"));
+  const auto completed = parse_int<std::size_t>(expect_field("completed"));
+  if (completed > checkpoint.total_runs) {
+    throw ParseError("completed " + std::to_string(completed) +
+                     " exceeds total_runs " +
+                     std::to_string(checkpoint.total_runs));
   }
+  for (std::size_t i = 0; i < completed; ++i) {
+    if (!std::getline(in, line)) throw ParseError("truncated run list");
+    std::istringstream fields(line);
+    std::string tag;
+    std::string token[12];
+    if (!(fields >> tag) || tag != "run") {
+      throw ParseError("expected 'run' line");
+    }
+    for (auto& t : token) {
+      if (!(fields >> t)) throw ParseError("short run line");
+    }
+    std::string extra;
+    if (fields >> extra) throw ParseError("long run line");
+    CampaignRunResult r;
+    r.cell = parse_int<std::uint32_t>(token[0]);
+    r.replicate = parse_int<std::uint32_t>(token[1]);
+    r.faults_injected = parse_int<std::uint64_t>(token[2]);
+    r.faults_absorbed = parse_int<std::uint64_t>(token[3]);
+    r.interruptions = parse_int<std::uint64_t>(token[4]);
+    r.makespan = parse_double(token[5]);
+    r.useful_work = parse_double(token[6]);
+    r.wasted_work = parse_double(token[7]);
+    r.checkpoint_overhead = parse_double(token[8]);
+    r.restart_overhead = parse_double(token[9]);
+    r.downtime = parse_double(token[10]);
+    r.repair_wait = parse_double(token[11]);
+    checkpoint.completed.push_back(r);
+  }
+  return checkpoint;
 }
 
 }  // namespace
@@ -489,12 +515,13 @@ void save_campaign_checkpoint(const std::string& path,
   for (const CampaignRunResult& r : checkpoint.completed) {
     out << "run " << r.cell << ' ' << r.replicate << ' ' << r.faults_injected
         << ' ' << r.faults_absorbed << ' ' << r.interruptions << ' '
-        << format_double(r.makespan) << ' ' << format_double(r.useful_work)
-        << ' ' << format_double(r.wasted_work) << ' '
-        << format_double(r.checkpoint_overhead) << ' '
-        << format_double(r.restart_overhead) << ' '
-        << format_double(r.downtime) << ' ' << format_double(r.repair_wait)
-        << "\n";
+        << format_double(r.makespan, 17) << ' '
+        << format_double(r.useful_work, 17) << ' '
+        << format_double(r.wasted_work, 17) << ' '
+        << format_double(r.checkpoint_overhead, 17) << ' '
+        << format_double(r.restart_overhead, 17) << ' '
+        << format_double(r.downtime, 17) << ' '
+        << format_double(r.repair_wait, 17) << "\n";
   }
   out.flush();
   if (!out) throw IoError("failed writing campaign checkpoint: " + path);
@@ -503,64 +530,11 @@ void save_campaign_checkpoint(const std::string& path,
 CampaignCheckpoint load_campaign_checkpoint(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw IoError("cannot open campaign checkpoint: " + path);
-  std::string line;
-  if (!std::getline(in, line) || line != "hpcfail-campaign-checkpoint v1") {
-    throw ParseError("campaign checkpoint " + path + ": bad header");
+  try {
+    return read_checkpoint(in);
+  } catch (const ParseError& e) {
+    throw ParseError("campaign checkpoint " + path + ": " + e.what());
   }
-  const auto expect_field = [&](const char* key) {
-    if (!std::getline(in, line)) {
-      throw ParseError("campaign checkpoint " + path + ": truncated");
-    }
-    std::istringstream fields(line);
-    std::string name, value, extra;
-    if (!(fields >> name >> value) || name != key || (fields >> extra)) {
-      throw ParseError("campaign checkpoint " + path + ": expected '" +
-                       key + "' line");
-    }
-    return value;
-  };
-  CampaignCheckpoint checkpoint;
-  checkpoint.fingerprint = parse_u64(expect_field("fingerprint"), path);
-  checkpoint.total_runs =
-      static_cast<std::size_t>(parse_u64(expect_field("total_runs"), path));
-  const auto completed =
-      static_cast<std::size_t>(parse_u64(expect_field("completed"), path));
-  checkpoint.completed.reserve(completed);
-  for (std::size_t i = 0; i < completed; ++i) {
-    if (!std::getline(in, line)) {
-      throw ParseError("campaign checkpoint " + path + ": truncated run list");
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    std::string token[12];
-    if (!(fields >> tag) || tag != "run") {
-      throw ParseError("campaign checkpoint " + path + ": expected 'run' line");
-    }
-    for (auto& t : token) {
-      if (!(fields >> t)) {
-        throw ParseError("campaign checkpoint " + path + ": short run line");
-      }
-    }
-    std::string extra;
-    if (fields >> extra) {
-      throw ParseError("campaign checkpoint " + path + ": long run line");
-    }
-    CampaignRunResult r;
-    r.cell = static_cast<std::uint32_t>(parse_u64(token[0], path));
-    r.replicate = static_cast<std::uint32_t>(parse_u64(token[1], path));
-    r.faults_injected = parse_u64(token[2], path);
-    r.faults_absorbed = parse_u64(token[3], path);
-    r.interruptions = parse_u64(token[4], path);
-    r.makespan = parse_double(token[5], path);
-    r.useful_work = parse_double(token[6], path);
-    r.wasted_work = parse_double(token[7], path);
-    r.checkpoint_overhead = parse_double(token[8], path);
-    r.restart_overhead = parse_double(token[9], path);
-    r.downtime = parse_double(token[10], path);
-    r.repair_wait = parse_double(token[11], path);
-    checkpoint.completed.push_back(r);
-  }
-  return checkpoint;
 }
 
 Campaign::Campaign(CampaignSpec spec) : spec_(std::move(spec)) {

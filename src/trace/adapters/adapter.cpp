@@ -2,11 +2,13 @@
 
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "common/time.hpp"
 #include "trace/adapters/lu.hpp"
 #include "trace/adapters/mistral.hpp"
 #include "trace/adapters/tan.hpp"
@@ -48,6 +50,16 @@ void validate_adapted(const FailureRecord& record) {
   }
   if (record.end < record.start) {
     throw ValidationError("repair interval ends before it starts");
+  }
+  // The span a native timestamp can spell (years that fit int), so no
+  // difference between two records' times overflows Seconds.
+  constexpr int kMinYear = std::numeric_limits<int>::min();
+  constexpr int kMaxYear = std::numeric_limits<int>::max();
+  static const Seconds kFirst = to_epoch(kMinYear, 1, 1);
+  static const Seconds kLast =
+      to_epoch(CivilDateTime{kMaxYear, 12, 31, 23, 59, 59});
+  if (record.start < kFirst || record.end > kLast) {
+    throw ValidationError("time outside the native timestamp range");
   }
   if (category_of(record.detail) != record.cause) {
     throw ValidationError("detail cause '" + to_string(record.detail) +

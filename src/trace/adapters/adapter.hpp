@@ -64,9 +64,9 @@ std::string adapter_names();
 const Adapter& adapter_for(std::string_view name);
 
 /// Semantic checks shared by every adapter's parse path: positive system
-/// id, non-negative node id, end >= start, detail belonging to the
-/// cause's category. Throws ValidationError with a field-specific
-/// message.
+/// id, non-negative node id, end >= start, times a native timestamp can
+/// spell, detail belonging to the cause's category. Throws
+/// ValidationError with a field-specific message.
 void validate_adapted(const FailureRecord& record);
 
 /// Strict/lenient batch source over an istream of adapter-format lines —

@@ -1,6 +1,7 @@
 #include "trace/adapters/lu.hpp"
 
 #include <array>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -25,21 +26,6 @@ constexpr std::array<std::string_view, 16> kDetailTokens = {
 // Workload declaration order (compute, graphics, frontend).
 constexpr std::array<std::string_view, 3> kWorkloadTokens = {"comp", "grfx",
                                                              "fe"};
-
-/// Splits "c<system>n<node>" into its two ids.
-void parse_node_path(std::string_view path, FailureRecord& record) {
-  if (path.size() < 4 || path.front() != 'c') {
-    throw ParseError("bad node path '" + std::string(path) +
-                     "' (want c<system>n<node>)");
-  }
-  const std::size_t n = path.find('n', 1);
-  if (n == std::string_view::npos || n + 1 >= path.size()) {
-    throw ParseError("bad node path '" + std::string(path) +
-                     "' (want c<system>n<node>)");
-  }
-  record.system_id = static_cast<int>(parse_i64(path.substr(1, n - 1)));
-  record.node_id = static_cast<int>(parse_i64(path.substr(n + 1)));
-}
 
 }  // namespace
 
@@ -74,11 +60,17 @@ FailureRecord LuAdapter::parse_line(std::string_view line) const {
     throw ParseError("bad downtime '" + fields[3] + "' (want <seconds>s)");
   }
   FailureRecord record;
-  record.start = static_cast<Seconds>(parse_i64(fields[0]));
-  parse_node_path(fields[1], record);
-  const std::int64_t downtime = parse_i64(
+  record.start = parse_int<Seconds>(fields[0]);
+  parse_ids(fields[1], 'c', 'n', "node path", record.system_id,
+            record.node_id);
+  const auto downtime = parse_int<Seconds>(
       std::string_view(fields[3]).substr(0, fields[3].size() - 1));
   if (downtime < 0) throw ValidationError("negative downtime");
+  if (record.start > 0 &&
+      downtime > std::numeric_limits<Seconds>::max() - record.start) {
+    throw ParseError("downtime " + std::to_string(downtime) +
+                     "s overflows the end timestamp");
+  }
   record.end = record.start + downtime;
   record.workload = static_cast<Workload>(
       index_of_token(kWorkloadTokens, fields[4], "workload"));

@@ -46,20 +46,6 @@ std::string format_iso_timestamp(Seconds t) {
   return text;
 }
 
-/// Splits "<prefix><system><sep><node>" host-style ids.
-void parse_ids(std::string_view text, char prefix, char sep,
-               std::string_view what, int& system_id, int& node_id) {
-  const auto bad = [&]() -> ParseError {
-    return ParseError("bad " + std::string(what) + " '" + std::string(text) +
-                      "' (want " + prefix + "<system>" + sep + "<node>)");
-  };
-  if (text.size() < 4 || text.front() != prefix) throw bad();
-  const std::size_t at = text.find(sep, 1);
-  if (at == std::string_view::npos || at + 1 >= text.size()) throw bad();
-  system_id = static_cast<int>(parse_i64(text.substr(1, at - 1)));
-  node_id = static_cast<int>(parse_i64(text.substr(at + 1)));
-}
-
 }  // namespace
 
 std::string MistralAdapter::format_line(const FailureRecord& record) const {

@@ -44,12 +44,12 @@ Seconds parse_us_timestamp(std::string_view text) {
   }
   CivilDateTime cdt;
   try {
-    cdt.month = static_cast<int>(parse_i64(text.substr(0, 2)));
-    cdt.day = static_cast<int>(parse_i64(text.substr(3, 2)));
-    cdt.year = static_cast<int>(parse_i64(text.substr(6, 4)));
-    cdt.hour = static_cast<int>(parse_i64(text.substr(11, 2)));
-    cdt.minute = static_cast<int>(parse_i64(text.substr(14, 2)));
-    cdt.second = static_cast<int>(parse_i64(text.substr(17, 2)));
+    cdt.month = parse_int<int>(text.substr(0, 2));
+    cdt.day = parse_int<int>(text.substr(3, 2));
+    cdt.year = parse_int<int>(text.substr(6, 4));
+    cdt.hour = parse_int<int>(text.substr(11, 2));
+    cdt.minute = parse_int<int>(text.substr(14, 2));
+    cdt.second = parse_int<int>(text.substr(17, 2));
     return to_epoch(cdt);
   } catch (const Error&) {
     throw bad();
@@ -94,11 +94,11 @@ FailureRecord TanAdapter::parse_line(std::string_view line) const {
                      std::to_string(fields.size()));
   }
   FailureRecord record;
-  record.system_id = static_cast<int>(parse_i64(fields[0]));
-  record.node_id = static_cast<int>(parse_i64(fields[1]));
+  record.system_id = parse_int<int>(fields[0]);
+  record.node_id = parse_int<int>(fields[1]);
   record.start = parse_us_timestamp(fields[2]);
   record.end = parse_us_timestamp(fields[3]);
-  const std::int64_t duration = parse_i64(fields[4]);
+  const auto duration = parse_int<Seconds>(fields[4]);
   if (duration != record.end - record.start) {
     throw ValidationError(
         "duration " + std::to_string(duration) +

@@ -18,6 +18,15 @@ bool record_order(const FailureRecord& a, const FailureRecord& b) noexcept {
   return a.node_id < b.node_id;
 }
 
+/// Puts records in (start, system, node) order. Stable, so rows tied on
+/// that key keep their input order (a CSV round trip is exact); input
+/// already in order, the common case, is left untouched.
+void sort_records(std::vector<FailureRecord>& records) {
+  if (!std::is_sorted(records.begin(), records.end(), record_order)) {
+    std::stable_sort(records.begin(), records.end(), record_order);
+  }
+}
+
 [[noreturn]] void throw_inconsistent(std::size_t index) {
   throw InvalidArgument("inconsistent failure record at index " +
                         std::to_string(index) +
@@ -64,7 +73,7 @@ FailureDataset::FailureDataset(std::vector<FailureRecord> records) {
       throw_inconsistent(i);
     }
   }
-  std::sort(records.begin(), records.end(), record_order);
+  sort_records(records);
   columns_ = ColumnStore::from_records(records);
   record_bytes_gauge(columns_);
 }
@@ -75,7 +84,7 @@ FailureDataset FailureDataset::from_columns(ColumnStore columns) {
     // Rare slow path (the generator always produces sorted columns):
     // permuting seven parallel arrays is simplest through records.
     std::vector<FailureRecord> records = columns.to_records();
-    std::sort(records.begin(), records.end(), record_order);
+    sort_records(records);
     columns = ColumnStore::from_records(records);
   }
   FailureDataset out;

@@ -29,8 +29,8 @@ std::string_view trim_view(std::string_view s) noexcept {
 
 FailureRecord record_from_views(const std::array<std::string_view, 7>& f) {
   FailureRecord r;
-  r.system_id = static_cast<int>(parse_i64(trim_view(f[0])));
-  r.node_id = static_cast<int>(parse_i64(trim_view(f[1])));
+  r.system_id = parse_int<int>(trim_view(f[0]));
+  r.node_id = parse_int<int>(trim_view(f[1]));
   r.start = parse_timestamp(trim_view(f[2]));
   r.end = parse_timestamp(trim_view(f[3]));
   r.workload = workload_from_string(f[4]);

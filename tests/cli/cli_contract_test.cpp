@@ -126,6 +126,16 @@ TEST(CliContract, ExitCodeTable) {
       {"fit --system notanint", 2, "parse error:"},
       {"repair --seed -3", 2, "parse error:"},  // uint64 cannot be negative
       {"serve --max-events -1", 2, "parse error:"},
+      // Integers that do not fit the option's type: each once narrowed
+      // to a real value (2 threads, system 20, port 1). The invalid
+      // --host makes a regression fail fast instead of serving.
+      {"generate --out /nonexistent-dir/t.csv --threads 4294967298", 2,
+       "parse error:"},
+      {"fit --system 4294967316 --seed 1", 2, "parse error:"},
+      {"serve --ingest-port 4294967297 --host not.an.ip", 2,
+       "parse error:"},
+      {"serve --retain-hours 9223372036854775807 --host not.an.ip", 2,
+       "parse error:"},
       {"replay", 2, "parse error:"},  // missing required --trace/--port
       {"replay --trace " + missing, 2, "parse error:"},  // missing --port
       // --speedup takes a real; rejected at parse time, before any io
@@ -235,6 +245,26 @@ TEST(CliContract, InconsistentTraceRecordIsAParseError) {
   const auto result = run_cli("validate --trace " + path);
   EXPECT_EQ(result.exit_code, 2) << result.err << result.out;
   EXPECT_TRUE(starts_with(result.err, "parse error:")) << result.err;
+  std::remove(path.c_str());
+}
+
+TEST(CliContract, MalformedCheckpointCountIsAParseError) {
+  // A negative count once wrapped to 2^64 - 1 and failed in reserve with
+  // the generic "error:"; a count above total_runs is as corrupt.
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "bad_ckpt.txt").string();
+  for (const std::string count : {"-1", "18446744073709551615", "5"}) {
+    {
+      std::ofstream out(path);
+      out << "hpcfail-campaign-checkpoint v1\nfingerprint 1\n"
+             "total_runs 4\ncompleted "
+          << count << "\n";
+    }
+    const auto result = run_cli("campaign --runs 1 --checkpoint " + path);
+    EXPECT_EQ(result.exit_code, 2) << count << ": " << result.err;
+    EXPECT_TRUE(starts_with(result.err, "parse error:"))
+        << count << ": " << result.err;
+  }
   std::remove(path.c_str());
 }
 

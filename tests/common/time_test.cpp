@@ -146,6 +146,20 @@ TEST(ParseTimestamp, RoundTripsWithFormat) {
   EXPECT_EQ(parse_timestamp(format_timestamp(t)), t);
 }
 
+TEST(ParseTimestamp, ExtremeYearsRoundTripExactly) {
+  // January of year INT_MIN once overflowed int inside days_from_civil
+  // (y - 1); every year that fits int is a date that round-trips.
+  for (const char* text :
+       {"-2147483648-01-01 00:00:00", "-2147483648-02-29 12:00:00",
+        "2147483647-12-31 23:59:59"}) {
+    EXPECT_EQ(format_timestamp(parse_timestamp(text)), text);
+  }
+  EXPECT_LT(parse_timestamp("-2147483648-01-01"),
+            parse_timestamp("-2147483648-03-01"));
+  EXPECT_THROW(parse_timestamp("-2147483649-01-01"), ParseError);
+  EXPECT_THROW(parse_timestamp("2147483648-01-01"), ParseError);
+}
+
 TEST(ParseTimestamp, RejectsMalformedInput) {
   EXPECT_THROW(parse_timestamp(""), ParseError);
   EXPECT_THROW(parse_timestamp("not a date"), ParseError);

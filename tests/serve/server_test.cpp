@@ -253,6 +253,18 @@ TEST(Server, IngestsStreamRejectsMalformedAndServesReaders) {
             404);
   EXPECT_EQ(http_get(server.http_port(), "/report?system=oops").status,
             400);
+  // 2^32 + 7 does not fit int; it once narrowed to system 7.
+  EXPECT_EQ(http_get(server.http_port(), "/report?system=4294967303").status,
+            400);
+  // Hours whose seconds overflow Seconds, instead of an undefined cast.
+  EXPECT_EQ(
+      http_get(server.http_port(), "/report?system=7&window_hours=1e300")
+          .status,
+      400);
+  EXPECT_EQ(http_get(server.http_port(),
+                     "/report?system=7&window_seconds=9223372036854775808")
+                .status,
+            400);
   EXPECT_EQ(http_get(server.http_port(), "/nope").status, 404);
 
   const HttpResponse metrics = http_get(server.http_port(), "/metrics");

@@ -258,6 +258,25 @@ TEST(CampaignCheckpointIo, RejectsForeignAndMalformedCheckpoints) {
     out << "not a campaign checkpoint\n";
   }
   EXPECT_THROW(sim::load_campaign_checkpoint(path), ParseError);
+  // A run count that is negative, or above total_runs, is corrupt: it
+  // must not reach the run list (a wrapped -1 once threw length_error).
+  for (const char* completed : {"-1", "3", "18446744073709551615"}) {
+    {
+      std::ofstream out(path);
+      out << "hpcfail-campaign-checkpoint v1\nfingerprint "
+          << campaign.fingerprint() << "\ntotal_runs 2\ncompleted "
+          << completed << "\n";
+    }
+    EXPECT_THROW(sim::load_campaign_checkpoint(path), ParseError)
+        << completed;
+  }
+  // An id that does not fit its uint32 field.
+  {
+    std::ofstream out(path);
+    out << "hpcfail-campaign-checkpoint v1\nfingerprint 1\ntotal_runs 2\n"
+           "completed 1\nrun 4294967296 0 0 0 0 1 1 0 0 0 0 0\n";
+  }
+  EXPECT_THROW(sim::load_campaign_checkpoint(path), ParseError);
 }
 
 // The satellite bugfix regression, extending the PR 5 restart test to

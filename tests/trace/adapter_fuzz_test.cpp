@@ -5,10 +5,16 @@
 //   * mutation fuzz — random byte mutations of valid foreign lines
 //     either throw a typed library Error (which streaming ingest turns
 //     into reject-and-count) or parse into a fully consistent record;
-//     nothing crashes, nothing is silently accepted as garbage.
+//     nothing crashes, nothing is silently accepted as garbage;
+//   * boundary fuzz — one numeric token swapped for an integer-type edge
+//     value is rejected, or accepted exactly (format(parse(l)) == l).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -69,7 +75,9 @@ testkit::Gen<MutatedLine> mutated_lines(const Adapter& adapter) {
       const double kind = rng.uniform();
       // Printable and non-printable replacements alike; '\n' excluded so
       // the mutation stays a single line (the framing layer's job).
-      char byte = static_cast<char>(1 + rng.uniform() * 254.0);
+      // Via unsigned char: a double above 127 does not fit (signed) char.
+      char byte = static_cast<char>(
+          static_cast<unsigned char>(1 + rng.uniform() * 254.0));
       if (byte == '\n') byte = '?';
       if (kind < 0.6) {
         out.line[at] = byte;
@@ -111,6 +119,73 @@ TEST(AdapterFuzz, MutatedLinesRejectOrParseConsistently) {
         options);
     EXPECT_TRUE(result.passed) << adapter->name() << ": " << result.message;
   }
+}
+
+/// The edges of the integer types ids and times are parsed into (int,
+/// Seconds), and one past each.
+constexpr std::array<std::string_view, 6> kBoundaryTokens = {
+    "2147483648",          "4294967297",          "-1",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808"};
+
+/// A valid formatted line with one numeric token (a maximal digit run)
+/// swapped for a boundary value: the structured counterpart of the byte
+/// mutations, which almost never produce an in-format out-of-range id.
+testkit::Gen<MutatedLine> boundary_lines(const Adapter& adapter) {
+  testkit::Gen<MutatedLine> gen;
+  const testkit::Gen<FailureRecord> records = testkit::failure_records();
+  gen.sample = [&adapter, records](Rng& rng) {
+    MutatedLine out;
+    out.original = adapter.format_line(records.sample(rng));
+    constexpr std::string_view kDigits = "0123456789";
+    const std::string& line = out.original;
+    std::vector<std::pair<std::size_t, std::size_t>> runs;  // (pos, len)
+    for (std::size_t pos = line.find_first_of(kDigits);
+         pos != std::string::npos; pos = line.find_first_of(kDigits, pos)) {
+      const std::size_t end =
+          std::min(line.find_first_not_of(kDigits, pos), line.size());
+      runs.emplace_back(pos, end - pos);
+      pos = end;
+    }
+    const auto [pos, len] = runs[rng.uniform_index(runs.size())];
+    const std::string_view token =
+        kBoundaryTokens[rng.uniform_index(kBoundaryTokens.size())];
+    out.line = line;
+    out.line.replace(pos, len, token);
+    return out;
+  };
+  gen.show = [](const MutatedLine& v) {
+    return "boundary: \"" + v.line + "\" (from \"" + v.original + "\")";
+  };
+  return gen;
+}
+
+TEST(AdapterFuzz, BoundaryValuesRejectOrRoundTripExactly) {
+  // No silent reinterpretation: a line with an out-of-range number is
+  // rejected with a typed error, and any line accepted formats back to
+  // exactly itself.
+  testkit::PropertyOptions options;
+  options.cases = 2000;
+  std::size_t accepted = 0;
+  for (const Adapter* adapter : all_adapters()) {
+    const auto result = testkit::check_property(
+        boundary_lines(*adapter),
+        [adapter, &accepted](const MutatedLine& v) {
+          try {
+            const FailureRecord r = adapter->parse_line(v.line);
+            ++accepted;
+            return adapter->format_line(r) == v.line;
+          } catch (const ParseError&) {
+            return true;
+          } catch (const ValidationError&) {
+            return true;
+          }
+        },
+        options);
+    EXPECT_TRUE(result.passed) << adapter->name() << ": " << result.message;
+  }
+  // Some swaps are in range (lu's start takes -1 or 2^32 + 1), so the
+  // round-trip half of the property is exercised too.
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(AdapterFuzz, StreamingIngestRejectsAndCountsEveryMutatedLine) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -97,6 +98,18 @@ TEST(AdapterLu, ErrorTaxonomy) {
                ValidationError);
   EXPECT_THROW(lu.parse_line("123 c2n7 NODE_FAIL 389s comp HUM/mem"),
                ValidationError);
+  // Ids that do not fit int (2^32 + 2 once narrowed to system 2), and an
+  // end (start + downtime) that does not fit Seconds.
+  EXPECT_THROW(lu.parse_line("123 c4294967298n7 NODE_FAIL 389s comp HUM/oper"),
+               ParseError);
+  EXPECT_THROW(lu.parse_line("123 c2n4294967303 NODE_FAIL 389s comp HUM/oper"),
+               ParseError);
+  EXPECT_THROW(lu.parse_line("9223372036854775807 c2n7 NODE_FAIL 1s comp "
+                             "HUM/oper"),
+               ParseError);
+  EXPECT_THROW(lu.parse_line("-9223372036854775808 c2n7 NODE_FAIL 0s comp "
+                             "HUM/oper"),
+               ValidationError);
   // The good line still parses after all that.
   EXPECT_NO_THROW(lu.parse_line(good));
 }
@@ -130,6 +143,11 @@ TEST(AdapterTan, RejectsDurationDisagreement) {
       tan.parse_line("2|7|06/01/2004 01:00:00|06/01/2004 01:06:29|389|"
                      "Gremlins|Operator|Compute"),
       ParseError);
+  // 2^32 + 2 does not fit int; it once narrowed to system 2.
+  EXPECT_THROW(
+      tan.parse_line("4294967298|7|06/01/2004 01:00:00|06/01/2004 01:06:29|"
+                     "389|Human|Operator|Compute"),
+      ParseError);
 }
 
 TEST(AdapterMistral, FormatsAndParsesOneLine) {
@@ -158,6 +176,11 @@ TEST(AdapterMistral, RejectsJobHostMismatch) {
       mistral.parse_line("j2-7,m2n7,2004-06-01T01:00:00,"
                          "2004-06-01T01:06:29,FAILED_OP,gremlin,compute"),
       ParseError);
+  // Job id and host agree on 2^32 + 2, which once narrowed to system 2.
+  EXPECT_THROW(
+      mistral.parse_line("j4294967298-7,m4294967298n7,2004-06-01T01:00:00,"
+                         "2004-06-01T01:06:29,FAILED_OP,operator,compute"),
+      ParseError);
 }
 
 TEST(AdapterValidate, ChecksSharedSemantics) {
@@ -170,6 +193,16 @@ TEST(AdapterValidate, ChecksSharedSemantics) {
   EXPECT_THROW(validate_adapted(r), ValidationError);
   r = sample_record();
   r.end = r.start - 1;
+  EXPECT_THROW(validate_adapted(r), ValidationError);
+  // Times past what a native timestamp can spell (a year that fits int):
+  // differences between such a time and an ordinary one overflow.
+  r = sample_record();
+  r.start = std::numeric_limits<Seconds>::min();
+  EXPECT_THROW(validate_adapted(r), ValidationError);
+  r.start = to_epoch(std::numeric_limits<int>::min(), 1, 1);
+  EXPECT_NO_THROW(validate_adapted(r));
+  r = sample_record();
+  r.end = std::numeric_limits<Seconds>::max();
   EXPECT_THROW(validate_adapted(r), ValidationError);
   r = sample_record();
   r.detail = DetailCause::memory_dimm;  // category hardware, cause human

@@ -3,7 +3,10 @@
 // and the umbrella header must compile.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <tuple>
+#include <vector>
 
 #include "hpcfail.hpp"
 
@@ -64,6 +67,40 @@ TEST(RoundTrip, RandomizedRecordsSurviveCsv) {
   for (std::size_t i = 0; i < original.size(); ++i) {
     ASSERT_EQ(reread.records()[i], original.records()[i]) << "record " << i;
   }
+}
+
+TEST(RoundTrip, RowsTiedOnTheSortKeyKeepTheirOrder) {
+  // Rows sharing (start, system, node) are distinguished only by input
+  // order, so sorting must be stable and a CSV round trip exact. Enough
+  // ties that an unstable sort would leave its insertion-sort cutoff.
+  const Seconds t0 = to_epoch(2004, 6, 1);
+  std::vector<FailureRecord> records;
+  for (int i = 0; i < 300; ++i) {
+    FailureRecord r;
+    r.system_id = 20;
+    r.node_id = i % 3;
+    r.start = t0 + (i % 2) * 60;
+    r.end = r.start + i;
+    r.cause = RootCause::human;
+    r.detail = DetailCause::operator_error;
+    records.push_back(r);
+  }
+  std::vector<FailureRecord> expected = records;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const FailureRecord& a, const FailureRecord& b) {
+                     return std::tie(a.start, a.system_id, a.node_id) <
+                            std::tie(b.start, b.system_id, b.node_id);
+                   });
+  const FailureDataset original(std::move(records));
+  ASSERT_EQ(original.records().to_records(), expected);
+
+  std::stringstream first;
+  write_csv(first, original);
+  const FailureDataset reread = read_csv(first);
+  EXPECT_EQ(reread.records().to_records(), expected);
+  std::stringstream second;
+  write_csv(second, reread);
+  EXPECT_EQ(second.str(), first.str());
 }
 
 TEST(RoundTrip, SurvivesCrLfAndMissingFinalNewline) {

@@ -60,6 +60,29 @@ TEST(RecordFromLine, RejectsInconsistentRecord) {
       ParseError);
 }
 
+TEST(RecordFromLine, RejectsIdsThatDoNotFitInt) {
+  // 2^32 + 1 and 2^32 once narrowed to system 1, node 0: a real node.
+  const std::string line =
+      "4294967297,4294967296,1996-06-07 08:48:45,1996-06-07 08:55:14,"
+      "compute,human,operator_error";
+  EXPECT_THROW(record_from_line(line), ParseError);
+  EXPECT_THROW(record_from_line("2,-9223372036854775809,1996-06-07 08:48:45,"
+                                "1996-06-07 08:55:14,compute,human,"
+                                "operator_error"),
+               ParseError);
+
+  LineSource source;
+  source.feed(line + "\n" + kGoodLine + "\n");
+  source.finish();
+  FailureRecord r;
+  ASSERT_EQ(source.next(r), SourceStatus::event);
+  EXPECT_EQ(r.system_id, 2);
+  EXPECT_EQ(source.next(r), SourceStatus::end);
+  EXPECT_EQ(source.counters().accepted, 1u);
+  EXPECT_EQ(source.counters().rejected, 1u);
+  EXPECT_NE(source.counters().last_error.find("line 1:"), std::string::npos);
+}
+
 TEST(CsvSource, MatchesReadCsv) {
   std::istringstream a(sample_csv());
   std::istringstream b(sample_csv());

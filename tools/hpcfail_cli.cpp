@@ -19,7 +19,6 @@
 // distinct stderr prefixes by type: "parse error:", "validation
 // error:", "fit error:", "io error:", "invalid argument:", and
 // "error:" for everything else.
-#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
@@ -42,13 +41,12 @@ using namespace hpcfail;
 // ---------------------------------------------------------------------------
 // Declarative option table
 
-enum class ArgType { string, integer, uint64, real, timestamp, flag };
+enum class ArgType { string, integer, real, timestamp, flag };
 
 const char* type_label(ArgType type) {
   switch (type) {
     case ArgType::string: return "STR";
     case ArgType::integer: return "N";
-    case ArgType::uint64: return "N";
     case ArgType::real: return "X";
     case ArgType::timestamp: return "YYYY-MM-DD";
     case ArgType::flag: return "";
@@ -88,9 +86,6 @@ class Args {
     values_[name] = std::move(value);
   }
 
-  bool has(const std::string& name) const {
-    return values_.count(name) != 0 || !spec(name).default_value.empty();
-  }
   /// True only when the user passed the option explicitly.
   bool given(const std::string& name) const {
     return values_.count(name) != 0;
@@ -99,15 +94,15 @@ class Args {
   std::string get_string(const std::string& name) const {
     return raw(name);
   }
-  int get_int(const std::string& name) const {
-    return static_cast<int>(parse_integer(name, raw(name)));
-  }
-  std::uint64_t get_u64(const std::string& name) const {
-    const long long v = parse_integer(name, raw(name));
-    if (v < 0) {
-      throw ParseError("option --" + name + " must be non-negative");
+  /// The option's value parsed straight into T; ParseError naming the
+  /// option when it is not an integer or does not fit T.
+  template <std::integral T>
+  T get(const std::string& name) const {
+    try {
+      return parse_int<T>(raw(name));
+    } catch (const ParseError& e) {
+      throw ParseError("option --" + name + ": " + e.what());
     }
-    return static_cast<std::uint64_t>(v);
   }
   double get_double(const std::string& name) const {
     try {
@@ -142,18 +137,6 @@ class Args {
     if (!s.default_value.empty()) return s.default_value;
     throw ParseError("subcommand '" + subcommand_ +
                      "' requires option --" + name);
-  }
-
-  long long parse_integer(const std::string& name,
-                          const std::string& text) const {
-    long long value = 0;
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc{} || ptr != end) {
-      throw ParseError("option --" + name + " expects an integer, got '" +
-                       text + "'");
-    }
-    return value;
   }
 
   const std::vector<ArgSpec>* specs_;
@@ -271,14 +254,14 @@ trace::FailureDataset load_dataset(const Args& args) {
   if (args.given("trace")) {
     return trace::read_csv_file(args.get_string("trace"));
   }
-  return synth::generate_lanl_trace(args.get_u64("seed"));
+  return synth::generate_lanl_trace(args.get<std::uint64_t>("seed"));
 }
 
 void apply_global_options(const Args& args) {
   if (args.given("threads")) {
-    const int threads = args.get_int("threads");
-    if (threads < 1) throw ValidationError("--threads must be >= 1");
-    set_parallelism(static_cast<unsigned>(threads));
+    const auto threads = args.get<unsigned>("threads");
+    if (threads == 0) throw ValidationError("--threads must be >= 1");
+    set_parallelism(threads);
   }
   // Validate the format eagerly so a typo fails before minutes of work.
   obs::export_format_from_string(args.get_string("metrics-format"));
@@ -297,7 +280,7 @@ void maybe_write_metrics(const Args& args) {
 // Subcommand handlers
 
 int cmd_generate(const Args& args) {
-  const std::uint64_t seed = args.get_u64("seed");
+  const std::uint64_t seed = args.get<std::uint64_t>("seed");
   const trace::FailureDataset ds = synth::generate_lanl_trace(seed);
   trace::write_csv_file(args.get_string("out"), ds);
   std::cout << "wrote " << ds.size() << " records (seed " << seed
@@ -348,8 +331,8 @@ int cmd_validate(const Args& args) {
 int cmd_fit(const Args& args) {
   const trace::FailureDataset ds = load_dataset(args);
   analysis::InterarrivalQuery query;
-  query.system_id = args.get_int("system");
-  if (args.given("node")) query.node_id = args.get_int("node");
+  query.system_id = args.get<int>("system");
+  if (args.given("node")) query.node_id = args.get<int>("node");
   if (args.given("from")) query.from = args.get_timestamp("from");
   if (args.given("to")) query.to = args.get_timestamp("to");
   const analysis::InterarrivalReport report =
@@ -417,7 +400,7 @@ int cmd_availability(const Args& args) {
 int cmd_report(const Args& args) {
   const trace::FailureDataset ds = load_dataset(args);
   const trace::SystemCatalog& catalog = trace::SystemCatalog::lanl();
-  const int system_id = args.get_int("system");
+  const int system_id = args.get<int>("system");
   std::ostream& out = std::cout;
 
   out << "hpcfail failure report: " << ds.size() << " records, "
@@ -505,8 +488,8 @@ int cmd_profile(const Args& args) {
     rows.push_back({name, stage.wall_seconds(), stage.cpu_seconds()});
   };
 
-  const std::uint64_t seed = args.get_u64("seed");
-  const int system_id = args.get_int("system");
+  const std::uint64_t seed = args.get<std::uint64_t>("seed");
+  const int system_id = args.get<int>("system");
 
   trace::FailureDataset ds;
   if (args.given("trace")) {
@@ -559,7 +542,7 @@ int cmd_campaign(const Args& args) {
     const trace::FailureDataset ds =
         trace::read_csv_file(args.get_string("trace"));
     library.push_back(
-        sim::replay_scenario(ds, args.get_int("replay-system")));
+        sim::replay_scenario(ds, args.get<int>("replay-system")));
   }
   const std::string scenario = args.get_string("scenario");
   if (scenario == "all") {
@@ -583,8 +566,8 @@ int cmd_campaign(const Args& args) {
     throw ValidationError("unknown policy '" + policy +
                           "' (expected: all | none | hourly | hourly-ranked)");
   }
-  spec.runs_per_cell = args.get_u64("runs");
-  spec.seed = args.get_u64("seed");
+  spec.runs_per_cell = args.get<std::size_t>("runs");
+  spec.seed = args.get<std::uint64_t>("seed");
   const sim::Campaign campaign(std::move(spec));
 
   if (args.given("dry-run")) {
@@ -624,7 +607,8 @@ int cmd_campaign(const Args& args) {
   sim::CampaignResult result;
   if (args.given("limit-runs")) {
     const sim::CampaignCheckpoint advanced =
-        campaign.run_partial(args.get_u64("limit-runs"), resume_ptr);
+        campaign.run_partial(args.get<std::size_t>("limit-runs"),
+                             resume_ptr);
     if (!checkpoint_path.empty()) {
       sim::save_campaign_checkpoint(checkpoint_path, advanced);
     }
@@ -692,20 +676,20 @@ extern "C" void handle_stop_signal(int) {
 int cmd_serve(const Args& args) {
   serve::ServerOptions opts;
   opts.host = args.get_string("host");
-  opts.ingest_port = args.get_int("ingest-port");
-  opts.http_port = args.get_int("http-port");
+  opts.ingest_port = args.get<int>("ingest-port");
+  opts.http_port = args.get<int>("http-port");
+  // Hours as uint32: times 3600 they always fit Seconds.
   opts.window_seconds =
-      static_cast<Seconds>(args.get_int("window-hours")) * kSecondsPerHour;
-  opts.bucket_seconds = static_cast<Seconds>(args.get_u64("bucket-seconds"));
-  opts.max_buckets = static_cast<std::size_t>(args.get_u64("max-buckets"));
-  opts.max_events = args.get_u64("max-events");
-  opts.ingest_threads = static_cast<std::size_t>(args.get_u64("ingest-threads"));
+      Seconds{args.get<std::uint32_t>("window-hours")} * kSecondsPerHour;
+  opts.bucket_seconds = args.get<Seconds>("bucket-seconds");
+  opts.max_buckets = args.get<std::size_t>("max-buckets");
+  opts.max_events = args.get<std::uint64_t>("max-events");
+  opts.ingest_threads = args.get<std::size_t>("ingest-threads");
   if (args.given("retain-hours")) {
     opts.epoch.retain_seconds =
-        static_cast<Seconds>(args.get_u64("retain-hours")) * kSecondsPerHour;
+        Seconds{args.get<std::uint32_t>("retain-hours")} * kSecondsPerHour;
   }
-  opts.epoch.max_sealed_events =
-      static_cast<std::size_t>(args.get_u64("max-sealed-events"));
+  opts.epoch.max_sealed_events = args.get<std::size_t>("max-sealed-events");
   if (args.given("tail")) opts.tail_path = args.get_string("tail");
   if (args.given("format")) opts.ingest_format = args.get_string("format");
 
@@ -751,10 +735,10 @@ int cmd_serve(const Args& args) {
 int cmd_replay(const Args& args) {
   serve::ReplayOptions opts;
   opts.host = args.get_string("host");
-  opts.port = args.get_int("port");
+  opts.port = args.get<int>("port");
   opts.speedup = args.get_double("speedup");
-  opts.connections = static_cast<std::size_t>(args.get_u64("connections"));
-  opts.limit = args.get_u64("limit");
+  opts.connections = args.get<std::size_t>("connections");
+  opts.limit = args.get<std::uint64_t>("limit");
   if (args.given("format")) {
     opts.adapter = &trace::adapter_for(args.get_string("format"));
   }
@@ -817,7 +801,8 @@ int cmd_compare(const Args& args) {
       analysis::CompareInput input;
       input.label = std::string(profile.name);
       input.dataset = synth::generate_site_trace(
-          profile, args.get_u64("seed"), args.get_double("duration-scale"));
+          profile, args.get<std::uint64_t>("seed"),
+          args.get_double("duration-scale"));
       input.procs = static_cast<double>(profile.procs);
       inputs.push_back(std::move(input));
     }
@@ -874,7 +859,7 @@ const std::vector<Subcommand>& subcommands() {
       {"generate", "synthesize a LANL-shaped failure trace",
        {
            {"out", ArgType::string, "", true, "output CSV path"},
-           {"seed", ArgType::uint64, "42", false, "generator seed"},
+           {"seed", ArgType::integer, "42", false, "generator seed"},
        },
        &cmd_generate},
       {"catalog", "print the LANL system catalog", {}, &cmd_catalog},
@@ -889,7 +874,7 @@ const std::vector<Subcommand>& subcommands() {
        {
            {"trace", ArgType::string, "", false,
             "trace CSV (default: generate with --seed)"},
-           {"seed", ArgType::uint64, "42", false,
+           {"seed", ArgType::integer, "42", false,
             "generator seed when no --trace"},
            {"system", ArgType::integer, "", true, "system id to analyze"},
            {"node", ArgType::integer, "", false,
@@ -902,7 +887,7 @@ const std::vector<Subcommand>& subcommands() {
        {
            {"trace", ArgType::string, "", false,
             "trace CSV (default: generate with --seed)"},
-           {"seed", ArgType::uint64, "42", false,
+           {"seed", ArgType::integer, "42", false,
             "generator seed when no --trace"},
        },
        &cmd_repair},
@@ -910,7 +895,7 @@ const std::vector<Subcommand>& subcommands() {
        {
            {"trace", ArgType::string, "", false,
             "trace CSV (default: generate with --seed)"},
-           {"seed", ArgType::uint64, "42", false,
+           {"seed", ArgType::integer, "42", false,
             "generator seed when no --trace"},
        },
        &cmd_availability},
@@ -918,7 +903,7 @@ const std::vector<Subcommand>& subcommands() {
        {
            {"trace", ArgType::string, "", false,
             "trace CSV (default: generate with --seed)"},
-           {"seed", ArgType::uint64, "42", false,
+           {"seed", ArgType::integer, "42", false,
             "generator seed when no --trace"},
            {"system", ArgType::integer, "20", false,
             "system id for the interarrival section"},
@@ -928,7 +913,7 @@ const std::vector<Subcommand>& subcommands() {
        {
            {"trace", ArgType::string, "", false,
             "trace CSV (default: generate with --seed)"},
-           {"seed", ArgType::uint64, "42", false,
+           {"seed", ArgType::integer, "42", false,
             "generator seed when no --trace"},
            {"system", ArgType::integer, "20", false,
             "system id for the interarrival stages"},
@@ -940,9 +925,9 @@ const std::vector<Subcommand>& subcommands() {
             "scenario: cascade | bursts | contention | renewal | all"},
            {"policy", ArgType::string, "all", false,
             "policy: none | hourly | hourly-ranked | all"},
-           {"runs", ArgType::uint64, "8", false,
+           {"runs", ArgType::integer, "8", false,
             "replicates per (scenario, policy) cell"},
-           {"seed", ArgType::uint64, "42", false,
+           {"seed", ArgType::integer, "42", false,
             "campaign seed (results are bit-identical at any --threads)"},
            {"trace", ArgType::string, "", false,
             "trace CSV: adds a replay scenario of --replay-system"},
@@ -950,7 +935,7 @@ const std::vector<Subcommand>& subcommands() {
             "system id to replay when --trace is given"},
            {"checkpoint", ArgType::string, "", false,
             "checkpoint FILE: resume from it when present, save after"},
-           {"limit-runs", ArgType::uint64, "", false,
+           {"limit-runs", ArgType::integer, "", false,
             "execute at most N outstanding runs, checkpoint, and stop"},
            {"report-out", ArgType::string, "", false,
             "also write the campaign report to FILE"},
@@ -971,24 +956,24 @@ const std::vector<Subcommand>& subcommands() {
             "http_port=N)"},
            {"window-hours", ArgType::integer, "24", false,
             "default /report window"},
-           {"bucket-seconds", ArgType::uint64, "3600", false,
+           {"bucket-seconds", ArgType::integer, "3600", false,
             "analytics bucket width"},
-           {"max-buckets", ArgType::uint64, "336", false,
+           {"max-buckets", ArgType::integer, "336", false,
             "retained buckets per analytics cell"},
            {"tail", ArgType::string, "", false,
             "also follow an appended trace file"},
            {"trace", ArgType::string, "", false,
             "seed dataset CSV loaded before serving"},
-           {"max-events", ArgType::uint64, "0", false,
+           {"max-events", ArgType::integer, "0", false,
             "stop after N accepted events (0 = run until SIGINT or "
             "/shutdown)"},
-           {"ingest-threads", ArgType::uint64, "1", false,
+           {"ingest-threads", ArgType::integer, "1", false,
             "ingest shards/threads; sealed snapshots are bit-identical "
             "at any count"},
-           {"retain-hours", ArgType::uint64, "", false,
+           {"retain-hours", ArgType::integer, "", false,
             "compact raw events older than N hours into per-cell "
             "sufficient statistics at seal time"},
-           {"max-sealed-events", ArgType::uint64, "0", false,
+           {"max-sealed-events", ArgType::integer, "0", false,
             "compact oldest events when the sealed snapshot exceeds N "
             "(0 = unbounded)"},
            {"format", ArgType::string, "", false,
@@ -1003,9 +988,9 @@ const std::vector<Subcommand>& subcommands() {
            {"port", ArgType::integer, "", true, "daemon ingest port"},
            {"speedup", ArgType::real, "0", false,
             "trace-seconds per wall-second (0 = as fast as possible)"},
-           {"connections", ArgType::uint64, "1", false,
+           {"connections", ArgType::integer, "1", false,
             "parallel TCP connections, events sharded by (system, node)"},
-           {"limit", ArgType::uint64, "0", false,
+           {"limit", ArgType::integer, "0", false,
             "replay at most N events (0 = whole trace)"},
            {"format", ArgType::string, "", false,
             "trace file and wire format: lu | mistral | tan (default: "
@@ -1019,7 +1004,7 @@ const std::vector<Subcommand>& subcommands() {
            {"trace", ArgType::string, "", false,
             "comma-separated trace files, each PATH or PATH:FORMAT "
             "(lu | mistral | tan; default native CSV)"},
-           {"seed", ArgType::uint64, "42", false,
+           {"seed", ArgType::integer, "42", false,
             "generator seed for --site traces"},
            {"duration-scale", ArgType::real, "1", false,
             "scale factor on each profile's observation window"},
