@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 
 #include "analysis/compare.hpp"
@@ -27,6 +28,13 @@ struct OracleCase {
   double repair_median_rel_tol;
   double cause_mix_abs_tol;  ///< per-cause fraction, absolute (pp/100)
 };
+
+// Print a case by its profile name. gtest's default prints the struct's
+// raw bytes, which include the `profile` pointer, so the listed test
+// names would change with the load address on every run.
+void PrintTo(const OracleCase& oracle, std::ostream* os) {
+  *os << oracle.profile;
+}
 
 // Tolerances must match the EXPERIMENTS.md table.
 constexpr OracleCase kCases[] = {
