@@ -98,6 +98,10 @@ void write_json(std::ostream& out, const Measurement& single,
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 2 || (argc == 2 && argv[1][0] == '-')) {
+    std::cerr << "usage: bench_perf_campaign [OUT.json]\n";
+    return 2;
+  }
   const sim::Campaign campaign(bench_spec(256));
 
   // Warm-up run so one-time allocator/pool costs don't land in the

@@ -28,6 +28,7 @@
 #include <ostream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -628,9 +629,20 @@ int run_pr6(const char* out_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::string(argv[1]) == "--pr6") {
-    return run_pr6(argc > 2 ? argv[2] : nullptr);
+  bool pr6 = false;
+  const char* out_path = nullptr;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--pr6") {
+      pr6 = true;
+    } else if (arg.starts_with('-') || out_path != nullptr) {
+      std::cerr << "usage: bench_perf_dataset [--pr6] [OUT.json]\n";
+      return 2;
+    } else {
+      out_path = argv[i];
+    }
   }
+  if (pr6) return run_pr6(out_path);
   std::vector<Row> rows;
   for (const std::size_t size : {10'000ULL, 100'000ULL, 1'000'000ULL}) {
     rows.push_back(run_size(size));
@@ -639,10 +651,10 @@ int main(int argc, char** argv) {
               << rows.back().indexed_per_node_ms << " ms indexed ("
               << rows.back().per_node_speedup << "x)\n";
   }
-  if (argc > 1) {
-    std::ofstream out(argv[1]);
+  if (out_path != nullptr) {
+    std::ofstream out(out_path);
     if (!out) {
-      std::cerr << "cannot open " << argv[1] << "\n";
+      std::cerr << "cannot open " << out_path << "\n";
       return 1;
     }
     write_json(out, rows);

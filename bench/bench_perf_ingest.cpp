@@ -416,6 +416,9 @@ int main(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (arg == "--pr9") {
       pr9 = true;
+    } else if (arg.starts_with('-') || !out_path.empty()) {
+      std::cerr << "usage: bench_perf_ingest [--pr9] [OUT.json]\n";
+      return 2;
     } else {
       out_path = arg;
     }

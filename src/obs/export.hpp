@@ -27,6 +27,10 @@ enum class ExportFormat { json, csv, prometheus };
 ExportFormat export_format_from_string(std::string_view text);
 std::string to_string(ExportFormat format);
 
+/// Escapes `s` for use inside a JSON string literal (quotes, backslashes,
+/// and every control character).
+std::string json_escape(std::string_view s);
+
 std::string to_json(const MetricsSnapshot& snapshot);
 std::string to_csv(const MetricsSnapshot& snapshot);
 std::string to_prometheus(const MetricsSnapshot& snapshot);

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "obs/export.hpp"
 #include "trace/types.hpp"
 
 namespace hpcfail::serve {
@@ -142,21 +143,6 @@ std::vector<int> LiveAnalytics::system_ids() const {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += ch;
-    }
-  }
-  return out;
-}
-
 void append_stats(std::string& out, const char* name,
                   const dist::SuffStats& s) {
   out += '"';
@@ -182,7 +168,7 @@ void append_fits(std::string& out, const char* name,
     out += "{\"family\":\"" + dist::to_string(f.family) + '"';
     out += ",\"nll\":" + format_double(f.nll);
     out += ",\"aic\":" + format_double(f.aic);
-    out += ",\"model\":\"" + json_escape(f.model->describe()) + "\"}";
+    out += ",\"model\":\"" + obs::json_escape(f.model->describe()) + "\"}";
   }
   out += ']';
 }

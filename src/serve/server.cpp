@@ -644,7 +644,8 @@ std::string Server::handle_request(const std::string& target, int& status) {
       return to_json(report);
     } catch (const ParseError& e) {
       status = 400;
-      return "{\"error\":\"parse error: " + std::string(e.what()) + "\"}";
+      return "{\"error\":\"parse error: " + obs::json_escape(e.what()) +
+             "\"}";
     }
   }
   status = 404;

@@ -3,8 +3,6 @@
 // ingest, reject-and-count on malformed lines, and both shutdown paths.
 #include "serve/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -22,6 +20,7 @@
 
 #include "common/error.hpp"
 #include "common/time.hpp"
+#include "http_client.hpp"
 #include "serve/analytics.hpp"
 #include "serve/replay.hpp"
 #include "trace/adapters/adapter.hpp"
@@ -114,56 +113,10 @@ TEST(LiveAnalytics, ReportJsonHasSchemaAndSections) {
 
 // --- socket helpers -------------------------------------------------------
 
-int connect_to(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-  return fd;
-}
-
-void send_all(int fd, const std::string& text) {
-  std::size_t sent = 0;
-  while (sent < text.size()) {
-    const ssize_t n =
-        ::send(fd, text.data() + sent, text.size() - sent, 0);
-    ASSERT_GT(n, 0);
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
-struct HttpResponse {
-  int status = 0;
-  std::string body;
-};
-
-HttpResponse http_get(int port, const std::string& target) {
-  const int fd = connect_to(port);
-  send_all(fd, "GET " + target + " HTTP/1.0\r\n\r\n");
-  std::string raw;
-  char buffer[4096];
-  while (true) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n <= 0) break;
-    raw.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  HttpResponse response;
-  const std::size_t space = raw.find(' ');
-  if (space != std::string::npos) {
-    response.status = std::stoi(raw.substr(space + 1, 3));
-  }
-  const std::size_t header_end = raw.find("\r\n\r\n");
-  if (header_end != std::string::npos) {
-    response.body = raw.substr(header_end + 4);
-  }
-  return response;
-}
+using test_client::connect_to;
+using test_client::http_get;
+using test_client::HttpResponse;
+using test_client::send_all;
 
 void wait_until_ingested(const Server& server, std::uint64_t count) {
   for (int i = 0; i < 500 && server.events_ingested() < count; ++i) {
@@ -265,6 +218,11 @@ TEST(Server, IngestsStreamRejectsMalformedAndServesReaders) {
                      "/report?system=7&window_seconds=9223372036854775808")
                 .status,
             400);
+  // The error body quotes the raw parameter; it must stay valid JSON.
+  const HttpResponse quoted =
+      http_get(server.http_port(), "/report?system=a\"b");
+  EXPECT_EQ(quoted.status, 400);
+  EXPECT_NE(quoted.body.find("'a\\\"b'"), std::string::npos) << quoted.body;
   EXPECT_EQ(http_get(server.http_port(), "/nope").status, 404);
 
   const HttpResponse metrics = http_get(server.http_port(), "/metrics");

@@ -3,7 +3,8 @@
 
 An unlabelled test falls out of every `ctest -L` tier. Campaign tests
 (suites Campaign*, smoke tests cli_campaign*) must also carry `campaign`,
-and the multi-site battery (suites Adapter*/Compare*) `compare`.
+the multi-site battery (suites Adapter*/Compare*) `compare`, and the
+whole-binary smokes (suites E2e*, tests e2e_*) `e2e`.
 
 Usage: check_ctest_labels.py [--ctest CTEST] BUILD_DIR  (exit 1 on failure)
 """
@@ -13,7 +14,8 @@ import subprocess
 import sys
 
 TIERS = [(("Campaign", "cli_campaign"), "campaign"),
-         (("Adapter", "Compare"), "compare")]
+         (("Adapter", "Compare"), "compare"),
+         (("E2e", "e2e_"), "e2e")]
 
 
 def main():
@@ -48,8 +50,9 @@ def main():
         if counts[label] == 0:
             print(f"no {'/'.join(p + '*' for p in prefixes)} tests discovered")
             return 1
-    print(f"{len(tests)} tests, all labelled ({counts['campaign']} in the "
-          f"campaign tier, {counts['compare']} in the compare tier)")
+    tiers = ", ".join(f"{counts[label]} in the {label} tier"
+                      for _, label in TIERS)
+    print(f"{len(tests)} tests, all labelled ({tiers})")
     return 0
 
 

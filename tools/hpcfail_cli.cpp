@@ -761,7 +761,7 @@ int cmd_replay(const Args& args) {
 
   const serve::ReplayStats stats = serve::replay_dataset(dataset, opts);
 
-  // key=value lines so scripts (the CI replay-smoke job) can assert on
+  // key=value lines so scripts (the e2e replay ctests) can assert on
   // exact totals.
   std::cout << "sent=" << stats.events_sent << "\n"
             << "bytes=" << stats.bytes_sent << "\n"
