@@ -19,6 +19,16 @@ LiveAnalytics::LiveAnalytics(Options options) : options_(options) {
   gap_opts_.floor_at = options_.gap_floor_seconds;
 }
 
+namespace {
+
+std::uint64_t node_key(int system_id, int node_id) noexcept {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(system_id))
+          << 32) |
+         static_cast<std::uint32_t>(node_id);
+}
+
+}  // namespace
+
 LiveAnalytics::Cell& LiveAnalytics::cell(int system_id, int node_id,
                                          trace::RootCause cause) {
   const auto key = std::make_tuple(system_id, node_id, cause);
@@ -31,36 +41,45 @@ LiveAnalytics::Cell& LiveAnalytics::cell(int system_id, int node_id,
   return it->second;
 }
 
+LiveAnalytics::SystemState& LiveAnalytics::system_state(int system_id) {
+  auto it = systems_.find(system_id);
+  if (it == systems_.end()) {
+    SystemState fresh;
+    fresh.system_gaps = dist::SlidingSuffStats(gap_opts_);
+    it = systems_.emplace(system_id, std::move(fresh)).first;
+  }
+  return it->second;
+}
+
 void LiveAnalytics::observe(const trace::FailureRecord& r) {
   ++events_;
   if (r.start > latest_at_) latest_at_ = r.start;
 
-  Cell& c = cell(r.system_id, r.node_id, r.cause);
+  const auto [it, first_event] =
+      nodes_.try_emplace(node_key(r.system_id, r.node_id));
+  NodeState& node = it->second;
+  if (first_event) {
+    node.last_start = r.start;
+    node.system = &system_state(r.system_id);
+  }
+  Cell*& slot = node.cells[trace::cause_index(r.cause)];
+  if (slot == nullptr) slot = &cell(r.system_id, r.node_id, r.cause);
+  Cell& c = *slot;
   c.repair_minutes.add(r.start, r.downtime_minutes());
 
   // Per-node gap: consecutive failures of the same node, attributed at
   // (and to the cause of) the later event. Out-of-order arrivals with a
-  // negative gap are skipped — the live posting lists in trace::
-  // LiveDataset remain the exact source for those.
-  const std::pair<int, int> node_key{r.system_id, r.node_id};
-  auto last = last_node_start_.find(node_key);
-  if (last != last_node_start_.end()) {
-    const Seconds gap = r.start - last->second;
+  // negative gap are skipped — trace::LiveDataset::node_starts() remains
+  // the exact source for those.
+  if (!first_event) {
+    const Seconds gap = r.start - node.last_start;
     if (gap >= 0) {
       c.node_gaps.add(r.start, static_cast<double>(gap));
-      last->second = r.start;
+      node.last_start = r.start;
     }
-  } else {
-    last_node_start_.emplace(node_key, r.start);
   }
 
-  auto sit = systems_.find(r.system_id);
-  if (sit == systems_.end()) {
-    SystemState fresh;
-    fresh.system_gaps = dist::SlidingSuffStats(gap_opts_);
-    sit = systems_.emplace(r.system_id, std::move(fresh)).first;
-  }
-  SystemState& sys = sit->second;
+  SystemState& sys = *node.system;
   ++sys.events;
   if (sys.has_last) {
     const Seconds gap = r.start - sys.last_start;

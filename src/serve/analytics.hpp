@@ -3,7 +3,12 @@
 // LiveAnalytics keeps one SlidingSuffStats cell per (system, node,
 // root-cause) for repair times and per-node failure gaps, plus a
 // per-system cell for the system-view failure process (Section 5.3's two
-// views), all updated in O(log buckets) per event. report() merges the
+// views), all updated in O(log buckets) per event. observe() reaches
+// everything one event touches — the node's last start, its cell for
+// the event's cause, its system — with one hash probe keyed by the
+// packed (system, node); the cells themselves live in ordered maps
+// whose nodes never move, so report() merges them in (node, cause)
+// order, the same order whatever the arrival order. report() merges the
 // covered buckets and derives the windowed moments (mean, C²) and a
 // streaming FitReport (dist::fit_report_from_stats) — no trace rescan,
 // no retained samples, so a report over any window is O(cells x buckets)
@@ -16,17 +21,19 @@
 // rebuild).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <tuple>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "common/time.hpp"
 #include "dist/fit.hpp"
 #include "dist/window.hpp"
 #include "trace/record.hpp"
+#include "trace/types.hpp"
 
 namespace hpcfail::serve {
 
@@ -71,6 +78,13 @@ class LiveAnalytics {
   LiveAnalytics() : LiveAnalytics(Options{}) {}
   explicit LiveAnalytics(Options options);
 
+  // The per-node lookup holds pointers into cells_ and systems_: a move
+  // keeps them valid, a copy would not.
+  LiveAnalytics(const LiveAnalytics&) = delete;
+  LiveAnalytics& operator=(const LiveAnalytics&) = delete;
+  LiveAnalytics(LiveAnalytics&&) = default;
+  LiveAnalytics& operator=(LiveAnalytics&&) = default;
+
   /// Folds one event into the repair and gap cells.
   void observe(const trace::FailureRecord& r);
 
@@ -111,17 +125,26 @@ class LiveAnalytics {
     bool has_last = false;
     dist::SlidingSuffStats system_gaps;
   };
+  /// Everything observe() needs for one (system, node). Created on the
+  /// node's first event, so last_start is always set.
+  struct NodeState {
+    Seconds last_start = 0;
+    /// By cause_index(); null until the node first fails with a cause.
+    std::array<Cell*, trace::kAllRootCauses.size()> cells{};
+    SystemState* system = nullptr;
+  };
 
   Cell& cell(int system_id, int node_id, trace::RootCause cause);
+  SystemState& system_state(int system_id);
 
   Options options_;
   dist::SlidingSuffStats::Options repair_opts_;
   dist::SlidingSuffStats::Options gap_opts_;
   /// (system, node, cause) -> repair/gap accumulators.
   std::map<std::tuple<int, int, trace::RootCause>, Cell> cells_;
-  /// (system, node) -> last failure start, for gap extraction.
-  std::map<std::pair<int, int>, Seconds> last_node_start_;
   std::map<int, SystemState> systems_;
+  /// Packed (system, node) -> that node's state; points into the maps.
+  std::unordered_map<std::uint64_t, NodeState> nodes_;
   Seconds latest_at_ = 0;
   std::uint64_t events_ = 0;
   std::uint64_t compacted_ = 0;

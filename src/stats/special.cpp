@@ -47,6 +47,14 @@ double trigamma(double x) {
 
 namespace {
 
+// Both expansions converge in O(sqrt(a)) terms near x ~ a (about
+// 8.6 sqrt(a) for the series), so a fixed cap rejects large shapes such
+// as a Poisson CDF at a mean of a few thousand. Inputs that converge
+// within 500 terms stop at the same step either way.
+int max_gamma_terms(double a) {
+  return 500 + static_cast<int>(10.0 * std::sqrt(a));
+}
+
 // Series representation of P(a, x), valid/fast for x < a + 1. `lg` is the
 // caller-supplied ln Gamma(a), hoisted so repeated evaluations at a fixed
 // shape (KS loops over a sorted sample) compute it once.
@@ -54,7 +62,8 @@ double gamma_p_series(double a, double x, double lg) {
   double term = 1.0 / a;
   double sum = term;
   double ap = a;
-  for (int n = 0; n < 500; ++n) {
+  const int terms = max_gamma_terms(a);
+  for (int n = 0; n < terms; ++n) {
     ap += 1.0;
     term *= x / ap;
     sum += term;
@@ -73,7 +82,8 @@ double gamma_q_cont_fraction(double a, double x, double lg) {
   double c = 1.0 / kTiny;
   double d = 1.0 / b;
   double h = d;
-  for (int i = 1; i <= 500; ++i) {
+  const int terms = max_gamma_terms(a);
+  for (int i = 1; i <= terms; ++i) {
     const double an = -static_cast<double>(i) * (static_cast<double>(i) - a);
     b += 2.0;
     d = an * d + b;

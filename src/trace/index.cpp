@@ -33,7 +33,9 @@ std::span<const Seconds> window_of(std::span<const Seconds> starts,
                         static_cast<std::size_t>(hi - lo));
 }
 
-std::vector<double> gaps_of(std::span<const Seconds> starts) {
+}  // namespace
+
+std::vector<double> start_gaps(std::span<const Seconds> starts) {
   std::vector<double> gaps;
   if (starts.size() >= 2) {
     gaps.reserve(starts.size() - 1);
@@ -43,8 +45,6 @@ std::vector<double> gaps_of(std::span<const Seconds> starts) {
   }
   return gaps;
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // DatasetIndex
@@ -239,9 +239,9 @@ DatasetView DatasetView::between(Seconds from, Seconds to) const {
   return view;
 }
 
-std::vector<double> DatasetView::node_interarrivals(int node_id) const {
+std::span<const Seconds> DatasetView::node_starts(int node_id) const {
   HPCFAIL_EXPECTS(system_.has_value(),
-                  "node_interarrivals requires a system-scoped view");
+                  "node_starts requires a system-scoped view");
   if (index_ == nullptr) return {};
   index_->count_view_hit();
   const DatasetIndex::SystemSlice* slice = index_->find_system(*system_);
@@ -254,25 +254,22 @@ std::vector<double> DatasetView::node_interarrivals(int node_id) const {
       nodes_begin, nodes_end, node_id,
       [](const DatasetIndex::NodeSlice& s, int id) { return s.node_id < id; });
   if (it == nodes_end || it->node_id != node_id) return {};
-  std::span<const Seconds> starts(index_->node_starts_.data() + it->begin,
-                                  it->end - it->begin);
-  if (windowed_) starts = window_of(starts, from_, to_);
-  return gaps_of(starts);
+  const std::span<const Seconds> starts(
+      index_->node_starts_.data() + it->begin, it->end - it->begin);
+  return windowed_ ? window_of(starts, from_, to_) : starts;
+}
+
+std::vector<double> DatasetView::node_interarrivals(int node_id) const {
+  HPCFAIL_EXPECTS(system_.has_value(),
+                  "node_interarrivals requires a system-scoped view");
+  return start_gaps(node_starts(node_id));
 }
 
 std::vector<double> DatasetView::system_interarrivals() const {
   HPCFAIL_EXPECTS(system_.has_value(),
                   "system_interarrivals requires a system-scoped view");
   if (index_ != nullptr) index_->count_view_hit();
-  const std::span<const Seconds> starts = view_.starts();
-  std::vector<double> gaps;
-  if (starts.size() >= 2) {
-    gaps.reserve(starts.size() - 1);
-    for (std::size_t i = 1; i < starts.size(); ++i) {
-      gaps.push_back(static_cast<double>(starts[i] - starts[i - 1]));
-    }
-  }
-  return gaps;
+  return start_gaps(view_.starts());
 }
 
 std::vector<NodeInterarrivalGroup> DatasetView::node_interarrival_groups(
@@ -294,7 +291,7 @@ std::vector<NodeInterarrivalGroup> DatasetView::node_interarrival_groups(
     if (starts.empty() || starts.size() < min_gaps + 1) continue;
     NodeInterarrivalGroup group;
     group.node_id = node.node_id;
-    group.gaps_seconds = gaps_of(starts);
+    group.gaps_seconds = start_gaps(starts);
     groups.push_back(std::move(group));
   }
   return groups;

@@ -64,6 +64,10 @@ struct NodeInterarrivalGroup {
   std::vector<double> gaps_seconds;  ///< consecutive-failure gaps, ordered
 };
 
+/// Gaps between consecutive entries of an ascending start-time list, in
+/// seconds (n starts -> n - 1 gaps; fewer than two starts -> none).
+std::vector<double> start_gaps(std::span<const Seconds> starts);
+
 /// A non-owning, start-sorted slice of a dataset: all records, one
 /// system, a time window, or both. Copying a view copies a few pointers.
 class DatasetView {
@@ -94,9 +98,14 @@ class DatasetView {
   /// callers that consider that an error validate before narrowing.
   DatasetView between(Seconds from, Seconds to) const;
 
+  /// One node's failure start times within the view, ascending: a span
+  /// of the node's posting list (empty for a node without failures).
+  /// Requires a system-scoped view; O(log n), no copy.
+  std::span<const Seconds> node_starts(int node_id) const;
+
   /// Gaps between consecutive failures of one node, in seconds (Section
-  /// 5.3 view (i)). Requires a system-scoped view; O(log n + gaps) via
-  /// the node's posting list.
+  /// 5.3 view (i)): the differences of node_starts(). Requires a
+  /// system-scoped view; O(log n + gaps).
   std::vector<double> node_interarrivals(int node_id) const;
 
   /// Gaps between consecutive failures anywhere in the view's system, in

@@ -35,25 +35,8 @@ LiveDataset::LiveDataset(Options options) : options_(options) {
 
 LiveDataset::LiveDataset(FailureDataset seed, Options options)
     : LiveDataset(options) {
-  index_starts(seed.columns());
   sealed_count_.store(seed.size(), std::memory_order_release);
-  // Build the index on the shared instance (a move would drop it — the
-  // dataset move ctor invalidates the source's index), so readers of the
-  // first snapshot never trigger a lazy build.
-  auto next = std::make_shared<const FailureDataset>(std::move(seed));
-  next->index();
-  publish(std::move(next));
-}
-
-void LiveDataset::index_starts(const ColumnStore& columns) {
-  // Columns are globally start-sorted, so appending per (system, node)
-  // keeps every posting list ascending. The seed lands in shard 0's
-  // lists; queries merge across shards anyway.
-  const std::size_t n = columns.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_[0]->starts[{columns.system_id[i], columns.node_id[i]}].push_back(
-        columns.start[i]);
-  }
+  publish(std::make_shared<const FailureDataset>(std::move(seed)));
 }
 
 std::size_t LiveDataset::seal_threshold() const noexcept {
@@ -73,13 +56,6 @@ void LiveDataset::append(std::size_t shard, const FailureRecord& r) {
   {
     std::lock_guard<std::mutex> lock(s.mutex);
     s.tail.push_back(r);
-    std::vector<Seconds>& starts = s.starts[{r.system_id, r.node_id}];
-    if (starts.empty() || starts.back() <= r.start) {
-      starts.push_back(r.start);  // in-order arrival: the common case
-    } else {
-      starts.insert(std::upper_bound(starts.begin(), starts.end(), r.start),
-                    r.start);
-    }
   }
   const std::size_t tails =
       tail_count_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -124,6 +100,17 @@ void LiveDataset::seal() {
 }
 
 void LiveDataset::do_seal() {
+  // seal_seq_ is odd from before any tail leaves its shard until after
+  // the merged snapshot is published (or the seal throws), so
+  // node_starts() can tell when its reads straddled a seal.
+  struct InFlight {
+    std::atomic<std::uint64_t>& seq;
+    explicit InFlight(std::atomic<std::uint64_t>& s) : seq(s) {
+      seq.fetch_add(1, std::memory_order_acq_rel);
+    }
+    ~InFlight() { seq.fetch_add(1, std::memory_order_acq_rel); }
+  } in_flight(seal_seq_);
+
   // Swap every shard's tail out under its mutex; appends proceed into
   // fresh tails while this thread merges.
   std::vector<ColumnStore> tails(shards_.size());
@@ -160,12 +147,11 @@ void LiveDataset::do_seal() {
   }
 
   // Revalidates in one fused pass and adopts (the merge output is
-  // sorted, so no AoS round trip happens). The index is built on the
-  // shared instance *after* the move — the dataset move ctor drops the
-  // source's index — and before the swap, so readers never block on it.
+  // sorted, so no AoS round trip happens). The snapshot's index is left
+  // to its first reader: FailureDataset::index() builds it once under
+  // its own mutex.
   auto next = std::make_shared<const FailureDataset>(
       FailureDataset::from_columns(std::move(merged)));
-  next->index();
 
   sealed_count_.store(next->size(), std::memory_order_release);
   publish(std::move(next));
@@ -220,25 +206,8 @@ void LiveDataset::compact_prefix(const ColumnStore& merged, std::size_t cut) {
     }
   }
   compacted_events_.fetch_add(cut, std::memory_order_acq_rel);
-  const Seconds horizon = merged.start[cut];  // first retained start
-  retention_horizon_.store(horizon, std::memory_order_release);
-
-  // Drop posting-list entries below the horizon. Dropped rows are
-  // exactly {start < horizon}, so each list loses a prefix.
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (auto it = shard->starts.begin(); it != shard->starts.end();) {
-      std::vector<Seconds>& starts = it->second;
-      const auto keep =
-          std::lower_bound(starts.begin(), starts.end(), horizon);
-      if (keep == starts.end()) {
-        it = shard->starts.erase(it);
-        continue;
-      }
-      starts.erase(starts.begin(), keep);
-      ++it;
-    }
-  }
+  retention_horizon_.store(merged.start[cut],  // first retained start
+                           std::memory_order_release);
 
   if (obs::enabled()) {
     obs::Counter* counter =
@@ -274,30 +243,46 @@ void LiveDataset::publish(std::shared_ptr<const FailureDataset> next) {
 
 std::vector<Seconds> LiveDataset::node_starts(int system_id,
                                               int node_id) const {
-  std::vector<Seconds> merged;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    const auto it = shard->starts.find({system_id, node_id});
-    if (it == shard->starts.end()) continue;
-    merged.insert(merged.end(), it->second.begin(), it->second.end());
+  const auto read = [this, system_id, node_id] {
+    const std::shared_ptr<const FailureDataset> snap = snapshot();
+    const std::span<const Seconds> sealed =
+        snap->view().for_system(system_id).node_starts(node_id);
+    std::vector<Seconds> starts(sealed.begin(), sealed.end());
+    for (const std::unique_ptr<Shard>& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard->mutex);
+      const ColumnStore& tail = shard->tail;
+      for (std::size_t i = 0; i < tail.size(); ++i) {
+        if (tail.system_id[i] == system_id && tail.node_id[i] == node_id) {
+          starts.push_back(tail.start[i]);
+        }
+      }
+    }
+    // The sealed span is ascending; tails are in arrival order.
+    const auto tails_begin =
+        starts.begin() + static_cast<std::ptrdiff_t>(sealed.size());
+    std::sort(tails_begin, starts.end());
+    std::inplace_merge(starts.begin(), tails_begin, starts.end());
+    return starts;
+  };
+  // A seal moves tail rows into the next snapshot, so a read that
+  // straddles one could miss or double-count them. Retry until no seal
+  // ran across the read; wait out one in flight on its mutex rather
+  // than spin. Readers never hold the seal mutex while reading, so they
+  // cannot make an append skip its seal.
+  for (;;) {
+    const std::uint64_t seq = seal_seq_.load(std::memory_order_acquire);
+    if (seq % 2 != 0) {
+      const std::lock_guard<std::mutex> wait(seal_mutex_);
+      continue;
+    }
+    std::vector<Seconds> starts = read();
+    if (seal_seq_.load(std::memory_order_acquire) == seq) return starts;
   }
-  // Each shard's list is ascending; the union is a k-way merge, and the
-  // merged values are independent of shard order.
-  std::sort(merged.begin(), merged.end());
-  return merged;
 }
 
 std::vector<double> LiveDataset::node_interarrivals(int system_id,
                                                     int node_id) const {
-  const std::vector<Seconds> starts = node_starts(system_id, node_id);
-  std::vector<double> gaps;
-  if (starts.size() >= 2) {
-    gaps.reserve(starts.size() - 1);
-    for (std::size_t i = 1; i < starts.size(); ++i) {
-      gaps.push_back(static_cast<double>(starts[i] - starts[i - 1]));
-    }
-  }
-  return gaps;
+  return start_gaps(node_starts(system_id, node_id));
 }
 
 }  // namespace hpcfail::trace

@@ -5,13 +5,10 @@
 // re-sort + reindex per arriving event, so LiveDataset splits the data in
 // two:
 //
-//   * the *sealed* prefix: an immutable FailureDataset (with its index
-//     already built) published to readers as a shared_ptr snapshot;
+//   * the *sealed* prefix: an immutable FailureDataset published to
+//     readers as a shared_ptr snapshot;
 //   * the *tails*: recent appends, kept columnar in arrival order in one
-//     tail per ingest shard, plus per-shard per-(system, node) posting
-//     lists (each node's start times, ascending) that are updated in
-//     O(1) amortized per append and cover sealed + tails, so exact
-//     per-node interarrival queries never wait for a rebuild.
+//     tail per ingest shard. An append is one push per column.
 //
 // When the combined tails outgrow the rebuild policy
 // (max(min_rebuild_tail, rebuild_fraction x sealed size) — geometric
@@ -23,9 +20,16 @@
 // order — which equals one stable sort of the concatenation, so the
 // sealed snapshot is bit-identical to a from-scratch build at any shard
 // count whenever records have unique keys (and deterministic for a
-// fixed partition otherwise). The new index is built *before* the
-// snapshot pointer swap, so readers never block and never observe a
-// half-built index.
+// fixed partition otherwise). A seal does not build the snapshot's
+// DatasetIndex: the first reader that needs it calls
+// FailureDataset::index(), which builds it once under the dataset's own
+// mutex, so a serve process that never queries the index never pays for
+// it.
+//
+// Per-node start times (node_starts()/node_interarrivals()) are derived
+// on demand, not maintained per append: the sealed snapshot's index
+// posting list for the node, merged with that node's rows of every
+// shard's tail, read under the shard mutex.
 //
 // Retention (Options::retain_seconds / max_sealed_events) bounds memory
 // on unbounded runs: at seal time the merged prefix older than the
@@ -35,17 +39,19 @@
 // set is exactly {rows : start < horizon} and compaction commutes with
 // re-partitioning. Late arrivals older than the horizon are accepted
 // into a tail, then compacted at the next seal — they never resurrect
-// dropped raw rows, and posting lists cover only the retained horizon.
+// dropped raw rows. Until that seal they are tail rows, so node_starts()
+// reports them; afterwards it covers only the retained horizon.
 //
 // Threading contract: append(shard, r)/drain(shard, ...) are
 // single-writer *per shard*; distinct shards may ingest concurrently.
 // seal() is safe from any thread (serialized internally) and runs
 // concurrently with appends — it holds each shard mutex only to swap
-// the tail out and to trim posting lists. snapshot()/epoch()/
-// sealed_size()/tail_size()/size()/compacted_events()/
-// compaction_cells()/node_starts()/node_interarrivals() are safe from
-// any thread. Snapshots are immutable and remain valid after further
-// appends and seals.
+// the tail out. snapshot()/epoch()/sealed_size()/tail_size()/size()/
+// compacted_events()/compaction_cells()/node_starts()/
+// node_interarrivals() are safe from any thread; node_starts() and
+// node_interarrivals() wait for a seal in flight and retry a read that a
+// seal overlapped, so sealed + tails is one consistent cut. Snapshots
+// are immutable and remain valid after further appends and seals.
 #pragma once
 
 #include <atomic>
@@ -86,8 +92,8 @@ class LiveDataset {
     /// tails reach max(min_rebuild_tail, rebuild_fraction * sealed).
     std::size_t min_rebuild_tail = 8192;
     double rebuild_fraction = 0.5;
-    /// Ingest partitions. Each shard has its own tail and posting
-    /// lists and accepts appends concurrently with the other shards.
+    /// Ingest partitions. Each shard has its own tail and accepts
+    /// appends concurrently with the other shards.
     std::size_t shards = 1;
     /// Raw events whose start is more than retain_seconds behind the
     /// latest sealed start are compacted at seal time (0 = keep all).
@@ -102,8 +108,7 @@ class LiveDataset {
   LiveDataset();
   explicit LiveDataset(Options options);
 
-  /// Seeds the sealed prefix from an existing dataset and derives the
-  /// live posting lists from it.
+  /// Seeds the sealed prefix from an existing dataset.
   LiveDataset(FailureDataset seed, Options options);
   explicit LiveDataset(FailureDataset seed);
 
@@ -175,41 +180,46 @@ class LiveDataset {
     return last_rebuild_ms_.load(std::memory_order_acquire);
   }
 
-  /// Exact per-node interarrival gaps (seconds) over sealed + tails,
-  /// from the live posting lists — no rebuild required. Under
-  /// retention, covers only events at/after the horizon.
+  /// Exact per-node interarrival gaps (seconds) over sealed + tails:
+  /// the differences of node_starts().
   std::vector<double> node_interarrivals(int system_id, int node_id) const;
 
   /// Start times of one node, ascending, over sealed + tails (merged
-  /// across shards). Empty when the node has no failures.
+  /// across shards). Empty when the node has no failures. The sealed
+  /// part comes from the snapshot's index (built here on first use),
+  /// the rest from a scan of every tail: O(sealed node events + tail
+  /// rows). Under retention, sealed events cover only the horizon.
   std::vector<Seconds> node_starts(int system_id, int node_id) const;
 
  private:
-  /// Per-shard ingest state. The mutex guards tail + starts; the hot
-  /// append path takes it uncontended (a seal contends only to swap
-  /// the tail out or trim posting lists).
+  /// Per-shard ingest state. The mutex guards the tail; the hot append
+  /// path takes it uncontended (a seal contends only to swap the tail
+  /// out, a node_starts() reader only to scan it).
   struct Shard {
     mutable std::mutex mutex;
     ColumnStore tail;
-    std::map<std::pair<int, int>, std::vector<Seconds>> starts;
   };
 
   void publish(std::shared_ptr<const FailureDataset> next);
-  void index_starts(const ColumnStore& columns);
   std::size_t seal_threshold() const noexcept;
   void maybe_seal();
   void do_seal();  ///< requires seal_mutex_ held
   /// First retained row of the merged store under the retention policy
   /// (always at a start-timestamp boundary; 0 = keep everything).
   std::size_t retention_cut(const ColumnStore& merged) const;
-  /// Folds rows [0, cut) into the ledger, advances the horizon, and
-  /// trims every shard's posting lists below it.
+  /// Folds rows [0, cut) into the ledger and advances the horizon.
   void compact_prefix(const ColumnStore& merged, std::size_t cut);
 
   Options options_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  std::mutex seal_mutex_;  ///< serializes seals; never held on append
+  /// Serializes seals; never held on append. node_starts() locks it
+  /// only to wait for a seal in flight.
+  mutable std::mutex seal_mutex_;
+  /// Odd while a seal is in flight, incremented at both ends: a
+  /// node_starts() read is consistent when it is even and unchanged
+  /// across the read (a sequence lock).
+  std::atomic<std::uint64_t> seal_seq_{0};
 
   mutable std::mutex sealed_mutex_;  ///< guards sealed_ pointer swap only
   std::shared_ptr<const FailureDataset> sealed_;

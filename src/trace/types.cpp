@@ -1,7 +1,9 @@
 #include "trace/types.hpp"
 
+#include <algorithm>
+#include <span>
+
 #include "common/error.hpp"
-#include "common/strings.hpp"
 
 namespace hpcfail::trace {
 
@@ -45,83 +47,96 @@ std::size_t cause_index(RootCause cause) noexcept {
   return 5;
 }
 
-std::string to_string(RootCause cause) {
-  switch (cause) {
-    case RootCause::hardware: return "hardware";
-    case RootCause::software: return "software";
-    case RootCause::network: return "network";
-    case RootCause::environment: return "environment";
-    case RootCause::human: return "human";
-    case RootCause::unknown: return "unknown";
+namespace {
+
+// Names in enum order (each enum is dense from 0), written once for both
+// directions.
+constexpr std::array<std::string_view, 6> kRootCauseNames = {
+    "hardware", "software", "network", "environment", "human", "unknown",
+};
+
+constexpr std::array<std::string_view, 16> kDetailCauseNames = {
+    "memory_dimm",      "cpu",            "node_interconnect",
+    "power_supply",     "disk",           "other_hardware",
+    "operating_system", "parallel_fs",    "scheduler",
+    "other_software",   "network_switch", "nic",
+    "power_outage",     "ac_failure",     "operator_error",
+    "undetermined",
+};
+
+/// The three workloads, then two aliases of the last one (frontend).
+constexpr std::array<std::string_view, 5> kWorkloadNames = {
+    "compute", "graphics", "fe", "frontend", "front-end",
+};
+
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// ASCII case-insensitive equality against a lower-case name.
+constexpr bool equals_folded(std::string_view text,
+                             std::string_view lower) noexcept {
+  if (text.size() != lower.size()) return false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    const char folded =
+        c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+    if (folded != lower[i]) return false;
   }
-  throw InvalidArgument("invalid RootCause value");
+  return true;
+}
+
+template <typename Enum>
+std::string name_of(std::span<const std::string_view> names, Enum value,
+                    const char* type) {
+  const auto i = static_cast<std::size_t>(value);
+  if (i >= names.size()) {
+    throw InvalidArgument(std::string("invalid ") + type + " value");
+  }
+  return std::string(names[i]);
+}
+
+/// Index of the trimmed, case-folded `text` in `names`; ParseError if
+/// it is none of them.
+std::size_t decode(std::span<const std::string_view> names,
+                   std::string_view text, const char* what) {
+  std::string_view t = text;
+  while (!t.empty() && is_space(t.front())) t.remove_prefix(1);
+  while (!t.empty() && is_space(t.back())) t.remove_suffix(1);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (equals_folded(t, names[i])) return i;
+  }
+  throw ParseError(std::string("unknown ") + what + ": '" +
+                   std::string(text) + "'");
+}
+
+}  // namespace
+
+std::string to_string(RootCause cause) {
+  return name_of(kRootCauseNames, cause, "RootCause");
 }
 
 std::string to_string(DetailCause detail) {
-  switch (detail) {
-    case DetailCause::memory_dimm: return "memory_dimm";
-    case DetailCause::cpu: return "cpu";
-    case DetailCause::node_interconnect: return "node_interconnect";
-    case DetailCause::power_supply: return "power_supply";
-    case DetailCause::disk: return "disk";
-    case DetailCause::other_hardware: return "other_hardware";
-    case DetailCause::operating_system: return "operating_system";
-    case DetailCause::parallel_fs: return "parallel_fs";
-    case DetailCause::scheduler: return "scheduler";
-    case DetailCause::other_software: return "other_software";
-    case DetailCause::network_switch: return "network_switch";
-    case DetailCause::nic: return "nic";
-    case DetailCause::power_outage: return "power_outage";
-    case DetailCause::ac_failure: return "ac_failure";
-    case DetailCause::operator_error: return "operator_error";
-    case DetailCause::undetermined: return "undetermined";
-  }
-  throw InvalidArgument("invalid DetailCause value");
+  return name_of(kDetailCauseNames, detail, "DetailCause");
 }
 
 std::string to_string(Workload workload) {
-  switch (workload) {
-    case Workload::compute: return "compute";
-    case Workload::graphics: return "graphics";
-    case Workload::frontend: return "fe";
-  }
-  throw InvalidArgument("invalid Workload value");
+  return name_of(std::span(kWorkloadNames).first(3), workload, "Workload");
 }
 
 RootCause root_cause_from_string(std::string_view text) {
-  const std::string t = to_lower(trim(text));
-  for (const RootCause cause : kAllRootCauses) {
-    if (t == to_string(cause)) return cause;
-  }
-  throw ParseError("unknown root cause: '" + std::string(text) + "'");
+  return static_cast<RootCause>(decode(kRootCauseNames, text, "root cause"));
 }
 
 DetailCause detail_cause_from_string(std::string_view text) {
-  static constexpr std::array<DetailCause, 16> kAll = {
-      DetailCause::memory_dimm,      DetailCause::cpu,
-      DetailCause::node_interconnect, DetailCause::power_supply,
-      DetailCause::disk,             DetailCause::other_hardware,
-      DetailCause::operating_system, DetailCause::parallel_fs,
-      DetailCause::scheduler,        DetailCause::other_software,
-      DetailCause::network_switch,   DetailCause::nic,
-      DetailCause::power_outage,     DetailCause::ac_failure,
-      DetailCause::operator_error,   DetailCause::undetermined,
-  };
-  const std::string t = to_lower(trim(text));
-  for (const DetailCause detail : kAll) {
-    if (t == to_string(detail)) return detail;
-  }
-  throw ParseError("unknown detail cause: '" + std::string(text) + "'");
+  return static_cast<DetailCause>(
+      decode(kDetailCauseNames, text, "detail cause"));
 }
 
 Workload workload_from_string(std::string_view text) {
-  const std::string t = to_lower(trim(text));
-  if (t == "compute") return Workload::compute;
-  if (t == "graphics") return Workload::graphics;
-  if (t == "fe" || t == "frontend" || t == "front-end") {
-    return Workload::frontend;
-  }
-  throw ParseError("unknown workload: '" + std::string(text) + "'");
+  const std::size_t i = decode(kWorkloadNames, text, "workload");
+  return static_cast<Workload>(
+      std::min(i, static_cast<std::size_t>(Workload::frontend)));
 }
 
 }  // namespace hpcfail::trace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -80,6 +81,38 @@ TEST(RegGammaUpperLower, SumToOne) {
           << "a = " << a << " x = " << x;
     }
   }
+}
+
+// Poisson(lambda) CDF at k, summed in log space: P(X <= k) = Q(k + 1,
+// lambda).
+double poisson_cdf_log_space(int k, double lambda) {
+  const auto log_pmf = [lambda](int i) {
+    return -lambda + i * std::log(lambda) - std::lgamma(i + 1.0);
+  };
+  double peak = log_pmf(0);
+  for (int i = 1; i <= k; ++i) peak = std::max(peak, log_pmf(i));
+  double sum = 0.0;
+  for (int i = 0; i <= k; ++i) sum += std::exp(log_pmf(i) - peak);
+  return std::exp(peak + std::log(sum));
+}
+
+// Near x ~ a both expansions need O(sqrt(a)) terms; a fixed 500-term cap
+// threw NumericError from a ~ 3,500 up (a Poisson CDF at a mean of a few
+// thousand failures per node). At this scale the prefactor's exponent
+// -x + a ln x - ln Gamma(a) sums terms of ~4e4, whose ulp is ~7e-12, so
+// neither the function nor a double-precision reference can promise
+// 1e-12: both are held to 1e-11 against each other and against the
+// exact values (a 60-digit pmf recurrence).
+TEST(RegGammaUpper, LargeShapeNearTheMeanConverges) {
+  const double q = reg_gamma_upper(5001.0, 5000.0);  // series side
+  EXPECT_NEAR(q, poisson_cdf_log_space(5000, 5000.0), 1e-11);
+  EXPECT_NEAR(q, 0.50376116777084666723, 1e-11);
+  EXPECT_DOUBLE_EQ(reg_gamma_lower(5001.0, 5000.0) + q, 1.0);
+
+  const double q_cf = reg_gamma_upper(5001.0, 5003.0);  // continued fraction
+  EXPECT_NEAR(q_cf, poisson_cdf_log_space(5000, 5003.0), 1e-11);
+  EXPECT_NEAR(q_cf, 0.48684083708598951528, 1e-11);
+  EXPECT_DOUBLE_EQ(reg_gamma_lower(5001.0, 5003.0) + q_cf, 1.0);
 }
 
 TEST(RegGammaLower, RejectsBadDomain) {

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -482,6 +484,151 @@ TEST(LiveDataset, RetentionNeverEmptiesTheStore) {
   EXPECT_GE(live.sealed_size(), 1u);
   EXPECT_EQ(live.snapshot()->records().starts().back(), t0 + 40000);
   EXPECT_EQ(live.compacted_events() + live.size(), 5u);
+}
+
+// --- On-demand per-node starts --------------------------------------------
+//
+// node_starts() is answered from the sealed snapshot's index plus a scan
+// of every shard's tail; nothing is maintained per append.
+
+/// Brute force: the node's starts among `records`, ascending.
+std::vector<Seconds> starts_of(const std::vector<FailureRecord>& records,
+                               int system, int node) {
+  std::vector<Seconds> want;
+  for (const FailureRecord& r : records) {
+    if (r.system_id == system && r.node_id == node) want.push_back(r.start);
+  }
+  std::sort(want.begin(), want.end());
+  return want;
+}
+
+std::vector<double> gaps_of(const std::vector<Seconds>& starts) {
+  std::vector<double> gaps;
+  for (std::size_t i = 1; i < starts.size(); ++i) {
+    gaps.push_back(static_cast<double>(starts[i] - starts[i - 1]));
+  }
+  return gaps;
+}
+
+TEST(LiveDatasetNodeStarts, LateTailArrivalBelowTheHorizonCountsUntilSealed) {
+  LiveDataset::Options opts;
+  opts.retain_seconds = 1000;
+  LiveDataset live(opts);
+  for (int i = 0; i <= 20; ++i) live.append(rec(1, 0, t0 + 100 * i, 60));
+  live.seal();
+  ASSERT_EQ(live.retention_horizon(), t0 + 1000);
+  std::vector<Seconds> retained;
+  for (int i = 10; i <= 20; ++i) retained.push_back(t0 + 100 * i);
+  EXPECT_EQ(live.node_starts(1, 0), retained);
+
+  // The straggler sits in the tail: it is one of sealed + tails, so it
+  // is reported, in start order, until the next seal compacts it.
+  live.append(rec(1, 0, t0 + 50, 60));
+  std::vector<Seconds> with_straggler = retained;
+  with_straggler.insert(with_straggler.begin(), t0 + 50);
+  EXPECT_EQ(live.node_starts(1, 0), with_straggler);
+  EXPECT_EQ(live.node_interarrivals(1, 0), gaps_of(with_straggler));
+
+  live.seal();
+  EXPECT_EQ(live.node_starts(1, 0), retained);
+  EXPECT_EQ(live.node_interarrivals(1, 0), gaps_of(retained));
+}
+
+TEST(LiveDatasetNodeStarts, MergesTwoShardTailsWithTheSealedSnapshot) {
+  const std::vector<FailureRecord> records = random_records(900, 89);
+  LiveDataset::Options opts;
+  opts.shards = 2;
+  opts.min_rebuild_tail = 1 << 20;  // seal only when asked
+  LiveDataset live(opts);
+  for (std::size_t i = 0; i < 400; ++i) live.append(i % 2, records[i]);
+  live.seal();
+  // The rest stays in the two tails, each in (shuffled) arrival order.
+  for (std::size_t i = 400; i < records.size(); ++i) {
+    live.append(i % 2, records[i]);
+  }
+  ASSERT_EQ(live.sealed_size(), 400u);
+  ASSERT_EQ(live.tail_size(), 500u);
+
+  const std::vector<FailureRecord> sealed(records.begin(),
+                                          records.begin() + 400);
+  const std::shared_ptr<const FailureDataset> snap = live.snapshot();
+  for (int system = 1; system <= 4; ++system) {
+    const DatasetView view = snap->view().for_system(system);
+    for (int node = 0; node <= 7; ++node) {
+      SCOPED_TRACE(std::to_string(system) + "/" + std::to_string(node));
+      const std::vector<Seconds> want = starts_of(records, system, node);
+      ASSERT_FALSE(want.empty());
+      EXPECT_EQ(live.node_starts(system, node), want);
+      EXPECT_EQ(live.node_interarrivals(system, node), gaps_of(want));
+
+      // The snapshot's own posting list covers the sealed part only, and
+      // its interarrivals are that span's differences.
+      const std::span<const Seconds> span = view.node_starts(node);
+      const std::vector<Seconds> sealed_starts(span.begin(), span.end());
+      EXPECT_EQ(sealed_starts, starts_of(sealed, system, node));
+      EXPECT_EQ(view.node_interarrivals(node), gaps_of(sealed_starts));
+      EXPECT_EQ(view.node_interarrivals(node), start_gaps(span));
+    }
+  }
+
+  live.seal();  // same answers once everything is sealed
+  for (int node = 0; node <= 7; ++node) {
+    EXPECT_EQ(live.node_starts(3, node), starts_of(records, 3, node));
+  }
+}
+
+TEST(LiveDatasetNodeStarts, NodeWithoutEventsIsEmpty) {
+  LiveDataset::Options opts;
+  opts.shards = 2;
+  LiveDataset live(opts);
+  // Before anything is sealed, the snapshot is the empty dataset.
+  EXPECT_TRUE(live.node_starts(1, 0).empty());
+  live.append(0, rec(1, 0, t0, 60));
+  live.append(1, rec(1, 1, t0 + 10, 60));
+  EXPECT_TRUE(live.node_starts(1, 99).empty());  // known system
+  EXPECT_TRUE(live.node_starts(42, 0).empty());  // unknown system
+  EXPECT_TRUE(live.node_interarrivals(1, 99).empty());
+  live.seal();
+  live.append(1, rec(1, 0, t0 + 20, 60));
+  EXPECT_TRUE(live.node_starts(1, 99).empty());
+  EXPECT_TRUE(live.node_starts(42, 0).empty());
+  EXPECT_TRUE(live.snapshot()->view().for_system(1).node_starts(99).empty());
+  EXPECT_EQ(live.node_starts(1, 0), (std::vector<Seconds>{t0, t0 + 20}));
+}
+
+// A reader racing appends and seals sees one consistent cut each time:
+// no event counted twice (tail and snapshot) or missed (swapped out of
+// the tail, not yet published), so one node's count never drops.
+TEST(LiveDatasetNodeStarts, ReadsDuringSealsAreConsistentCuts) {
+  const std::vector<FailureRecord> records = random_records(4000, 97);
+  LiveDataset::Options opts;
+  opts.shards = 2;
+  opts.min_rebuild_tail = 128;  // a seal every ~128 appends races
+  opts.rebuild_fraction = 0.0;  // with the reader
+  LiveDataset live(opts);
+  std::atomic<bool> done{false};
+  std::thread reader([&live, &done] {
+    std::size_t seen = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const std::vector<Seconds> starts = live.node_starts(2, 3);
+      EXPECT_TRUE(std::is_sorted(starts.begin(), starts.end()));
+      EXPECT_GE(starts.size(), seen);
+      seen = starts.size();
+    }
+  });
+  std::vector<std::thread> writers;
+  for (std::size_t s = 0; s < 2; ++s) {
+    writers.emplace_back([&live, &records, s] {
+      for (std::size_t i = s; i < records.size(); i += 2) {
+        live.append(s, records[i]);
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_GT(live.epoch(), 4u);
+  EXPECT_EQ(live.node_starts(2, 3), starts_of(records, 2, 3));
 }
 
 }  // namespace

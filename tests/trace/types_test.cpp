@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace hpcfail::trace {
@@ -54,6 +59,71 @@ TEST(Workload, StringRoundTripWithReleaseSpelling) {
   EXPECT_EQ(workload_from_string("compute"), Workload::compute);
   EXPECT_EQ(workload_from_string("GRAPHICS"), Workload::graphics);
   EXPECT_THROW(workload_from_string("database"), ParseError);
+}
+
+// --- Decode table ----------------------------------------------------------
+
+std::string mixed_case(const std::string& name) {
+  std::string out = name;
+  for (std::size_t i = 0; i < out.size(); i += 2) {
+    if (out[i] >= 'a' && out[i] <= 'z') {
+      out[i] = static_cast<char>(out[i] - 32);
+    }
+  }
+  return out;
+}
+
+std::string upper_case(const std::string& name) {
+  std::string out = name;
+  for (char& c : out) {
+    if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 32);
+  }
+  return out;
+}
+
+/// Every case and whitespace variant of a canonical name.
+std::vector<std::string> spellings(const std::string& name) {
+  return {name, upper_case(name), mixed_case(name), " " + name + "\t",
+          "\r\n " + upper_case(name) + " \v\f", "\t" + mixed_case(name)};
+}
+
+TEST(DecodeTable, EveryNameRoundTripsInAnyCaseAndWhitespace) {
+  for (const RootCause cause : kAllRootCauses) {
+    for (const std::string& s : spellings(to_string(cause))) {
+      EXPECT_EQ(root_cause_from_string(s), cause) << '"' << s << '"';
+    }
+  }
+  for (std::uint8_t v = 0; v <= static_cast<std::uint8_t>(
+                               DetailCause::undetermined);
+       ++v) {
+    const auto detail = static_cast<DetailCause>(v);
+    for (const std::string& s : spellings(to_string(detail))) {
+      EXPECT_EQ(detail_cause_from_string(s), detail) << '"' << s << '"';
+    }
+  }
+  for (const Workload w :
+       {Workload::compute, Workload::graphics, Workload::frontend}) {
+    for (const std::string& s : spellings(to_string(w))) {
+      EXPECT_EQ(workload_from_string(s), w) << '"' << s << '"';
+    }
+  }
+  for (const char* alias : {"frontend", "front-end"}) {
+    for (const std::string& s : spellings(alias)) {
+      EXPECT_EQ(workload_from_string(s), Workload::frontend);
+    }
+  }
+}
+
+TEST(DecodeTable, NearMissesAreParseErrors) {
+  using namespace std::string_view_literals;
+  for (const std::string_view miss :
+       {"hardwar"sv, "hardware_"sv, "nicx"sv, "front end"sv, ""sv, "   "sv,
+        "hard\0ware"sv, "nic\0"sv, "fe\0"sv, "_nic"sv, "computer"sv}) {
+    const std::string shown(miss);
+    EXPECT_THROW(root_cause_from_string(miss), ParseError) << shown;
+    EXPECT_THROW(detail_cause_from_string(miss), ParseError) << shown;
+    EXPECT_THROW(workload_from_string(miss), ParseError) << shown;
+  }
 }
 
 TEST(CauseIndex, StableOrder) {
