@@ -4,8 +4,9 @@
 // Sample construction happens outside every timed loop (the fixtures
 // build the data before `for (auto _ : state)`), and every benchmark
 // reports items/sec via SetItemsProcessed where an "item" is one fitted
-// observation — so rates are comparable across sample sizes and against
-// the end-to-end sweep in `bench_perf_dataset --pr6`.
+// observation — so rates are comparable across sample sizes. The pooled
+// fused-vs-seed floor is gated by bench_perf_floors; end-to-end
+// measurements come from repobench.
 //
 // BM_FitAllStandard (the fused fit_report engine: one SuffStats pass and
 // one sorted copy shared across families) vs BM_FitPerFamilyStandard

@@ -10,9 +10,9 @@
 //
 // BM_GenerateBulk scales every system's failure volume by range(0) so the
 // bulk pipeline (columnar emission + radix merge) dominates instead of
-// the per-system planning cost that bounds the paper-scale runs; the full
-// 10M-record sweep with per-stage numbers lives in
-// `bench_perf_dataset --pr6` (committed as BENCH_PR6.json).
+// the per-system planning cost that bounds the paper-scale runs. The
+// 10M-record generation floor is gated by bench_perf_floors; end-to-end
+// measurements come from repobench.
 #include <benchmark/benchmark.h>
 
 #include "common/thread_pool.hpp"

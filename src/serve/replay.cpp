@@ -16,6 +16,7 @@
 #include "common/strings.hpp"
 #include "serve/server.hpp"
 #include "trace/adapters/adapter.hpp"
+#include "trace/ingest.hpp"
 #include "trace/types.hpp"
 
 namespace hpcfail::serve {
@@ -63,6 +64,22 @@ int connect_to(const std::string& host, int port) {
   return fd;
 }
 
+// The replay's sockets, closed on every exit path: a connect, send or
+// format that throws must not leak the connections already open.
+struct Connections {
+  std::vector<int> fds;
+
+  Connections() = default;
+  Connections(const Connections&) = delete;
+  Connections& operator=(const Connections&) = delete;
+  ~Connections() { close_all(); }
+
+  void close_all() {
+    for (const int fd : fds) ::close(fd);
+    fds.clear();
+  }
+};
+
 void append_line(std::string& out, const trace::FailureRecord& r,
                  const trace::Adapter* adapter) {
   if (adapter != nullptr) {
@@ -100,24 +117,19 @@ ReplayStats replay_dataset(const trace::FailureDataset& dataset,
   ReplayStats stats;
   if (count == 0) return stats;
 
-  std::vector<int> fds;
+  Connections conns;
   std::vector<std::string> buffers(options.connections);
-  fds.reserve(options.connections);
+  conns.fds.reserve(options.connections);
   for (std::size_t c = 0; c < options.connections; ++c) {
-    fds.push_back(connect_to(options.host, options.port));
+    conns.fds.push_back(connect_to(options.host, options.port));
   }
-  const auto close_all = [&fds] {
-    for (const int fd : fds) ::close(fd);
-    fds.clear();
-  };
 
   const auto flush = [&](std::size_t c) {
     std::string& buffer = buffers[c];
     if (buffer.empty()) return;
-    const std::size_t sent = send_fully(fds[c], buffer);
+    const std::size_t sent = send_fully(conns.fds[c], buffer);
     if (sent < buffer.size()) {
       const int saved = errno;
-      close_all();
       throw IoError("replay connection " + std::to_string(c) +
                     " broke mid-send: " + std::strerror(saved));
     }
@@ -141,18 +153,15 @@ ReplayStats replay_dataset(const trace::FailureDataset& dataset,
         std::this_thread::sleep_until(due);
       }
     }
-    // Stable (system, node) hash: one node's events always share a
-    // connection, preserving per-node order end to end.
-    const std::size_t conn =
-        (static_cast<std::size_t>(r.system_id) * 8191u +
-         static_cast<std::size_t>(r.node_id)) %
-        options.connections;
+    // One node's events always share a connection, preserving per-node
+    // order end to end.
+    const std::size_t conn = trace::shard_of(r, options.connections);
     append_line(buffers[conn], r, options.adapter);
     ++stats.events_sent;
     if (buffers[conn].size() >= kFlushBytes) flush(conn);
   }
   for (std::size_t c = 0; c < buffers.size(); ++c) flush(c);
-  close_all();
+  conns.close_all();  // end of stream for the server
 
   stats.wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - wall_base)

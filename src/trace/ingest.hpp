@@ -75,6 +75,16 @@ class Counter;
 
 namespace hpcfail::trace {
 
+/// The stable (system, node) partition of a stream over `shards` ingest
+/// shards or replay connections: one node's events always land on the
+/// same partition, so each node's stream stays ordered end to end.
+inline std::size_t shard_of(const FailureRecord& r,
+                            std::size_t shards) noexcept {
+  return (static_cast<std::size_t>(r.system_id) * 8191u +
+          static_cast<std::size_t>(r.node_id)) %
+         shards;
+}
+
 /// One compaction-ledger cell: the sufficient statistics of the repair
 /// minutes of every raw event of one (system, node, cause) dropped past
 /// the retention horizon.

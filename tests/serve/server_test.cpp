@@ -3,13 +3,18 @@
 // ingest, reject-and-count on malformed lines, and both shutdown paths.
 #include "serve/server.hpp"
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
 #include <pthread.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -25,6 +30,7 @@
 #include "serve/replay.hpp"
 #include "trace/adapters/adapter.hpp"
 #include "trace/dataset.hpp"
+#include "trace/ingest.hpp"
 #include "trace/record.hpp"
 
 namespace hpcfail::serve {
@@ -463,10 +469,7 @@ TEST(Server, ShardedIngestSealsIdenticalToBatch) {
   std::vector<std::string> payloads(4);
   for (int c = 0; c < 4; ++c) clients.push_back(connect_to(server.ingest_port()));
   for (const trace::FailureRecord& r : records) {
-    const std::size_t c = (static_cast<std::size_t>(r.system_id) * 8191u +
-                           static_cast<std::size_t>(r.node_id)) %
-                          4;
-    payloads[c] += csv_line(r);
+    payloads[trace::shard_of(r, 4)] += csv_line(r);
   }
   for (int c = 0; c < 4; ++c) send_all(clients[c], payloads[c]);
   wait_until_ingested(server, kEvents);
@@ -608,6 +611,55 @@ TEST(Replay, RejectsInvalidOptions) {
     opts.speedup = -1.0;
     EXPECT_THROW(replay_dataset(empty, opts), ValidationError);
   }
+}
+
+TEST(Replay, ClosesOpenedConnectionsWhenALaterConnectFails) {
+  // A listener that never accepts: each connect completes in its backlog.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 8), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+
+  const trace::FailureDataset dataset{
+      std::vector<trace::FailureRecord>{rec(1, 0, t0, 60)}};
+  ReplayOptions ropts;
+  ropts.port = ntohs(addr.sin_port);
+  ropts.connections = 2;
+
+  // The first connection gets the lowest free descriptor; a soft limit
+  // just above it makes the second socket() fail with EMFILE.
+  const int first_fd = ::dup(listener);
+  ASSERT_GE(first_fd, 0);
+  ::close(first_fd);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = static_cast<rlim_t>(first_fd) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &capped), 0);
+  bool threw = false;
+  try {
+    replay_dataset(dataset, ropts);
+    ::setrlimit(RLIMIT_NOFILE, &saved);
+  } catch (const IoError&) {
+    // Restored before the exception is destroyed: the UBSan runtime
+    // needs descriptors of its own for its vptr checks.
+    ::setrlimit(RLIMIT_NOFILE, &saved);
+    threw = true;
+  }
+  EXPECT_TRUE(threw);
+  const int flags = ::fcntl(first_fd, F_GETFD);
+  const int fcntl_errno = errno;
+
+  EXPECT_EQ(flags, -1) << "descriptor " << first_fd << " leaked";
+  EXPECT_EQ(fcntl_errno, EBADF);
+  if (flags != -1) ::close(first_fd);
+  ::close(listener);
 }
 
 TEST(Replay, FullSpeedReplayIngestsTheWholeTrace) {

@@ -266,12 +266,6 @@ TEST(LiveDataset, AppendThenMoveRebuildsIndexOverNewStorage) {
 
 // --- Sharded ingest -------------------------------------------------------
 
-std::size_t shard_of(const FailureRecord& r, std::size_t shards) {
-  return (static_cast<std::size_t>(r.system_id) * 8191u +
-          static_cast<std::size_t>(r.node_id)) %
-         shards;
-}
-
 // The tentpole determinism contract: the sealed snapshot is
 // bit-identical to a from-scratch stable sort at ANY shard count, with
 // seals firing at arbitrary points mid-stream.
