@@ -116,11 +116,35 @@ double years_between(Seconds start, Seconds end) noexcept {
 }
 
 std::string format_timestamp(Seconds t) {
+  char buf[kTimestampChars];
+  return std::string(buf, format_timestamp_to(buf, t));
+}
+
+char* format_timestamp_to(char* out, Seconds t) noexcept {
   const CivilDateTime c = from_epoch(t);
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%04d-%02d-%02d %02d:%02d:%02d", c.year,
-                c.month, c.day, c.hour, c.minute, c.second);
-  return buf;
+  if (c.year < 0 || c.year > 9999) {  // outside the fixed-width fast path
+    const int written = std::snprintf(
+        out, kTimestampChars, "%04d-%02d-%02d %02d:%02d:%02d", c.year,
+        c.month, c.day, c.hour, c.minute, c.second);
+    return out + written;
+  }
+  const auto two = [](char* p, int v) {
+    p[0] = static_cast<char>('0' + v / 10);
+    p[1] = static_cast<char>('0' + v % 10);
+  };
+  two(out, c.year / 100);
+  two(out + 2, c.year % 100);
+  out[4] = '-';
+  two(out + 5, c.month);
+  out[7] = '-';
+  two(out + 8, c.day);
+  out[10] = ' ';
+  two(out + 11, c.hour);
+  out[13] = ':';
+  two(out + 14, c.minute);
+  out[16] = ':';
+  two(out + 17, c.second);
+  return out + 19;
 }
 
 namespace {

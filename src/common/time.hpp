@@ -77,6 +77,15 @@ double years_between(Seconds start, Seconds end) noexcept;
 /// Formats as "YYYY-MM-DD HH:MM:SS" (UTC).
 std::string format_timestamp(Seconds t);
 
+/// Room format_timestamp_to() needs: the longest form, with a
+/// ten-digit negative year.
+inline constexpr std::size_t kTimestampChars = 32;
+
+/// Writes format_timestamp(t) to `out`, which has room for
+/// kTimestampChars bytes, and returns one past its last character (what
+/// follows it is unspecified; no terminator is promised).
+char* format_timestamp_to(char* out, Seconds t) noexcept;
+
 /// Parses "YYYY-MM-DD HH:MM:SS" or "YYYY-MM-DD". Throws ParseError on any
 /// malformed or out-of-range input.
 Seconds parse_timestamp(std::string_view text);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 
 #include "common/error.hpp"
@@ -49,9 +50,40 @@ double median(std::span<const double> xs) {
   return quantile_sorted(sorted, 0.5);
 }
 
+namespace {
+
+/// Moves the order statistic of each rank in `ranks` (ascending; ranks
+/// past the end are ignored) to that position of `v`, where a full sort
+/// would put it: one selection per rank over a shrinking suffix.
+void select_ranks(std::vector<double>& v,
+                  std::initializer_list<std::size_t> ranks) {
+  auto first = v.begin();
+  for (const std::size_t rank : ranks) {
+    if (rank >= v.size()) break;
+    const auto nth = v.begin() + static_cast<std::ptrdiff_t>(rank);
+    if (nth < first) continue;  // already placed
+    std::nth_element(first, nth, v.end());
+    first = nth + 1;
+  }
+}
+
+}  // namespace
+
 Summary summarize(std::span<const double> xs) {
   HPCFAIL_EXPECTS(!xs.empty(), "summarize of empty sample");
-  auto sorted = sorted_copy(xs);
+  // The summary needs only the extremes and the two ranks each quartile
+  // interpolates between (lo = floor(p (n - 1)) and lo + 1, as in
+  // quantile_sorted), so those are selected rather than the whole sample
+  // sorted; quantile_sorted then reads the same values a sort gives.
+  std::vector<double> ranked(xs.begin(), xs.end());
+  const std::size_t last = ranked.size() - 1;
+  const auto rank = [last](double p) {
+    return static_cast<std::size_t>(p * static_cast<double>(last));
+  };
+  const std::size_t r25 = rank(0.25);
+  const std::size_t r50 = rank(0.5);
+  const std::size_t r75 = rank(0.75);
+  select_ranks(ranked, {0, r25, r25 + 1, r50, r50 + 1, r75, r75 + 1, last});
   Summary s;
   s.n = xs.size();
   // Fused moments: one sum pass, then one squared-deviation pass reusing
@@ -71,11 +103,11 @@ Summary summarize(std::span<const double> xs) {
   s.stddev = std::sqrt(s.variance);
   s.cv2 = (s.mean != 0.0) ? s.variance / (s.mean * s.mean)
                           : std::numeric_limits<double>::quiet_NaN();
-  s.median = quantile_sorted(sorted, 0.5);
-  s.q25 = quantile_sorted(sorted, 0.25);
-  s.q75 = quantile_sorted(sorted, 0.75);
-  s.min = sorted.front();
-  s.max = sorted.back();
+  s.median = quantile_sorted(ranked, 0.5);
+  s.q25 = quantile_sorted(ranked, 0.25);
+  s.q75 = quantile_sorted(ranked, 0.75);
+  s.min = ranked.front();
+  s.max = ranked.back();
   if (s.n >= 3 && s.stddev > 0.0) {
     double cubed = 0.0;
     for (const double x : xs) {

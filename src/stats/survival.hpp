@@ -52,4 +52,10 @@ std::vector<SurvivalObservation> fully_observed(
 double log_log_hazard_slope(std::span<const SurvivalObservation> sample,
                             std::size_t min_events = 8);
 
+/// The same slope over an already computed Nelson-Aalen curve, for
+/// callers that keep the curve: log_log_hazard_slope(sample, m) is
+/// log_log_hazard_slope(nelson_aalen(sample), m), bit for bit.
+double log_log_hazard_slope(std::span<const SurvivalPoint> cumulative_hazard,
+                            std::size_t min_events = 8);
+
 }  // namespace hpcfail::stats

@@ -1,7 +1,9 @@
 #include "trace/validate.hpp"
 
-#include <map>
+#include <algorithm>
+#include <limits>
 #include <set>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -39,9 +41,18 @@ ValidationReport validate(const FailureDataset& dataset,
   const auto max_repair_seconds =
       static_cast<Seconds>(options.max_repair_days * kSecondsPerDay);
 
-  // Latest repair end seen so far per (system, node); records are sorted
-  // by start, so an overlap is simply start < previous end.
-  std::map<std::pair<int, int>, Seconds> down_until;
+  // Latest repair end seen so far per (system, node), in a flat table
+  // sized from the catalog: the k-th system's nodes take the slots from
+  // first_slot[k]. Records are sorted by start, so an overlap is simply
+  // start < previous end.
+  const std::span<const SystemInfo> systems = catalog.systems();
+  std::vector<std::size_t> first_slot(systems.size() + 1, 0);
+  for (std::size_t k = 0; k < systems.size(); ++k) {
+    first_slot[k + 1] =
+        first_slot[k] + static_cast<std::size_t>(systems[k].nodes);
+  }
+  constexpr Seconds kNeverDown = std::numeric_limits<Seconds>::min();
+  std::vector<Seconds> down_until(first_slot.back(), kNeverDown);
 
   const auto records = dataset.records();
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -83,15 +94,17 @@ ValidationReport validate(const FailureDataset& dataset,
            "record says " + to_string(r.workload) + ", catalog says " +
                to_string(sys.workload_of(r.node_id)));
     }
-    const auto key = std::make_pair(r.system_id, r.node_id);
-    const auto it = down_until.find(key);
-    if (it != down_until.end() && r.start < it->second) {
+    // `sys` is an element of `systems`, so its offset names its slots.
+    Seconds& until = down_until[first_slot[static_cast<std::size_t>(
+                                    &sys - systems.data())] +
+                                static_cast<std::size_t>(r.node_id)];
+    if (until != kNeverDown && r.start < until) {
       flag(ValidationIssueKind::overlapping_repair,
            "failure starts while the node is still under repair until " +
-               format_timestamp(it->second));
+               format_timestamp(until));
     }
-    Seconds& until = down_until[key];
-    until = std::max(until, r.end);
+    // A node's first record counts from 0, as a value-initialized entry.
+    until = std::max(until == kNeverDown ? Seconds{0} : until, r.end);
   }
   return report;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "common/error.hpp"
 
 namespace hpcfail {
@@ -128,6 +130,20 @@ TEST(MonthsBetween, RejectsReversedArguments) {
 TEST(YearsBetween, ApproximatesCalendarYears) {
   EXPECT_NEAR(years_between(to_epoch(1996, 6, 1), to_epoch(2005, 6, 1)),
               9.0, 0.01);
+}
+
+TEST(FormatTimestamp, MatchesPrintfAtAndBeyondFourDigitYears) {
+  // The fixed-width path covers years 0-9999; every other year falls
+  // back to the printf form, which must come out the same.
+  for (const Seconds t : {Seconds{0}, Seconds{-62167219200},
+                          Seconds{-62167219201}, Seconds{253402300799},
+                          Seconds{253402300800}, Seconds{-100000000000}}) {
+    const CivilDateTime c = from_epoch(t);
+    char expected[64];
+    std::snprintf(expected, sizeof expected, "%04d-%02d-%02d %02d:%02d:%02d",
+                  c.year, c.month, c.day, c.hour, c.minute, c.second);
+    EXPECT_EQ(format_timestamp(t), expected) << t;
+  }
 }
 
 TEST(FormatTimestamp, CanonicalForm) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace hpcfail::stats {
 namespace {
@@ -99,6 +100,27 @@ TEST(Summarize, SkewnessSignTracksAsymmetry) {
   EXPECT_GT(summarize(right).skewness, 1.0);
   const std::vector<double> left = {-100.0, 1.0, 1.0, 1.0, 1.0};
   EXPECT_LT(summarize(left).skewness, -1.0);
+}
+
+TEST(Summarize, OrderStatisticsMatchAFullSort) {
+  // summarize() selects the ranks it reports instead of sorting; every
+  // size from 1 up, with ties, must give a sort's values bit for bit.
+  hpcfail::Rng rng(99);
+  for (std::size_t n = 1; n <= 64; ++n) {
+    std::vector<double> xs;
+    for (std::size_t i = 0; i < n; ++i) {
+      xs.push_back(static_cast<double>(rng.uniform_index(n / 2 + 1)) +
+                   (rng.uniform_index(3) == 0 ? 0.25 : 0.0));
+    }
+    const std::vector<double> sorted = sorted_copy(xs);
+    const Summary s = summarize(xs);
+    SCOPED_TRACE(n);
+    EXPECT_EQ(s.min, sorted.front());
+    EXPECT_EQ(s.max, sorted.back());
+    EXPECT_EQ(s.q25, quantile_sorted(sorted, 0.25));
+    EXPECT_EQ(s.median, quantile_sorted(sorted, 0.5));
+    EXPECT_EQ(s.q75, quantile_sorted(sorted, 0.75));
+  }
 }
 
 TEST(SortedCopy, DoesNotMutateInput) {

@@ -610,11 +610,23 @@ TEST(LiveDatasetNodeStarts, ReadsDuringSealsAreConsistentCuts) {
       seen = starts.size();
     }
   });
+  // An append skips its seal while another seal (or a reader waiting
+  // one out) holds the seal mutex, so the appends alone may seal only a
+  // few times. Each writer therefore checks every 256 appends that the
+  // epoch advanced and seals itself when it did not: every writer's
+  // 256-append run ends on at least one seal.
+  constexpr std::size_t kAppendsPerSeal = 256;
   std::vector<std::thread> writers;
   for (std::size_t s = 0; s < 2; ++s) {
     writers.emplace_back([&live, &records, s] {
+      std::uint64_t epoch = live.epoch();
+      std::size_t appended = 0;
       for (std::size_t i = s; i < records.size(); i += 2) {
         live.append(s, records[i]);
+        if (++appended % kAppendsPerSeal == 0) {
+          if (live.epoch() == epoch) live.seal();
+          epoch = live.epoch();
+        }
       }
     });
   }
